@@ -13,13 +13,15 @@
 //! resident index size.
 //!
 //! The `persist` group measures the restart paths: `save` (snapshot
-//! write), `load` (snapshot read, zero-copy arena + posting replay),
-//! `load-direct` (buffered read, postings served from the file's sorted-run
-//! appendix — no replay), `load-mmap` / `load-instant` (the storage
-//! subsystem's `mmap(2)` paths, with eager vs. deferred deep validation),
-//! `delta-replay` (base + a churn-generated delta checkpoint chain via
-//! `load_chain`), and `rebuild-baseline` (what a restart costs without
-//! persistence — `OnlineIndex::from_strings` from the raw corpus). After
+//! write), `load` (`OnlineIndex::load`: snapshot read, zero-copy arena +
+//! posting replay), the three `CheckpointedIndex::open` lanes — `open`
+//! (buffered read, postings served from the file's sorted-run appendix,
+//! no replay), `open-mmap` / `open-instant` (`mmap(2)`, with eager vs.
+//! deferred deep validation; the instant lane's background verifier
+//! outlives each timed open) — `delta-replay` (`open` of the base plus a
+//! churn-generated delta checkpoint chain), and `rebuild-baseline` (what
+//! a restart costs without persistence — `OnlineIndex::from_strings`
+//! from the raw corpus). After
 //! the timed rows it prints restart-to-first-answer latency for each path
 //! (the end-to-end number the storage subsystem exists to shrink) and an
 //! instant-load timing at 10× corpus size (the O(1)-in-postings claim,
@@ -56,6 +58,7 @@ use passjoin_online::{
     CachePolicy, EngineObs, ExecBudget, KeyBackend, OnlineIndex, Parallelism, Queryable,
     SearchRequest,
 };
+use passjoin_store::{CheckpointedIndex, OpenOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sj_common::StringCollection;
@@ -403,12 +406,26 @@ fn bench_obs(c: &mut Criterion) {
     );
 }
 
+/// The `CheckpointedIndex::open` lanes the persist group times.
+fn open_lanes() -> [(&'static str, OpenOptions); 3] {
+    [
+        ("open", OpenOptions::new()),
+        ("open-mmap", OpenOptions::new().mmap(true)),
+        ("open-instant", OpenOptions::new().mmap(true).instant(true)),
+    ]
+}
+
 fn bench_persist(c: &mut Criterion) {
     let strings = corpus_strings();
     let index = OnlineIndex::from_strings(strings.iter(), TAU);
     let snapshot = index.snapshot();
-    let path =
-        std::env::temp_dir().join(format!("passjoin-bench-online-{}.snap", std::process::id()));
+    let temp = |tag: &str| {
+        std::env::temp_dir().join(format!(
+            "passjoin-bench-online-{}{tag}.snap",
+            std::process::id()
+        ))
+    };
+    let path = temp("");
 
     let mut group = c.benchmark_group("persist");
     group.sample_size(10);
@@ -423,30 +440,23 @@ fn bench_persist(c: &mut Criterion) {
         b.iter(|| OnlineIndex::load(path).expect("snapshot load"))
     });
 
-    // The zero-rebuild lane: postings are served straight from the file's
-    // sorted-run appendix, so load skips the per-posting replay entirely.
-    group.bench_with_input(
-        BenchmarkId::new("load-direct", CORPUS_N),
-        &path,
-        |b, path| b.iter(|| OnlineIndex::load_direct(path).expect("direct load")),
-    );
-
-    // The mmap lanes: `load-mmap` still deep-validates every section up
-    // front; `load-instant` defers that to first access, so its cost is
-    // O(sections), not O(bytes) — the instant-restart row.
-    group.bench_with_input(BenchmarkId::new("load-mmap", CORPUS_N), &path, |b, path| {
-        b.iter(|| passjoin_store::open_mapped(path).expect("mapped load"))
-    });
-    group.bench_with_input(
-        BenchmarkId::new("load-instant", CORPUS_N),
-        &path,
-        |b, path| b.iter(|| passjoin_store::open_instant(path).expect("instant load")),
-    );
+    // The serving lanes: postings are served straight from the file's
+    // sorted-run appendix, so no open replays a posting. `open-mmap` still
+    // deep-validates every section up front; `open-instant` defers that to
+    // a background verifier, so its cost is O(sections), not O(bytes) —
+    // the instant-restart row.
+    for (name, options) in open_lanes() {
+        group.bench_with_input(BenchmarkId::new(name, CORPUS_N), &path, |b, path| {
+            b.iter(|| CheckpointedIndex::open(path, options.clone()).expect("store open"))
+        });
+    }
 
     // Restart with pending mutations: replay a churn-generated delta
-    // checkpoint on top of the base (the crash-recovery path).
-    let store = passjoin_store::CheckpointedIndex::open(&path, passjoin_store::OpenOptions::new())
-        .expect("open base for churn");
+    // checkpoint on top of the base (the crash-recovery path). The chain
+    // hangs off a copy, so the rows above keep opening a bare base.
+    let chained = temp("-chained");
+    std::fs::copy(&path, &chained).expect("copy base for churn");
+    let store = CheckpointedIndex::open(&chained, OpenOptions::new()).expect("open base for churn");
     for op in datagen::churn_ops(&strings, 1_000, 99) {
         match op {
             datagen::ChurnOp::Insert(s) => {
@@ -461,8 +471,8 @@ fn bench_persist(c: &mut Criterion) {
     drop(store);
     group.bench_with_input(
         BenchmarkId::new("delta-replay", "1000-ops"),
-        &path,
-        |b, path| b.iter(|| passjoin_store::load_chain(path).expect("chain load")),
+        &chained,
+        |b, path| b.iter(|| CheckpointedIndex::open(path, OpenOptions::new()).expect("chain open")),
     );
 
     // The no-persistence restart baseline: rebuild the index from the raw
@@ -479,7 +489,7 @@ fn bench_persist(c: &mut Criterion) {
     // clock for the pair — the end-to-end latency a restarting server
     // adds to its first request. Best of 5 to shed cold-cache noise.
     let probe = SearchRequest::new(strings[0].as_slice(), TAU);
-    let first_answer = |name: &str, open: &mut dyn FnMut() -> OnlineIndex| {
+    let first_answer = |name: &str, open: &mut dyn FnMut() -> Box<dyn Queryable>| {
         let mut best = u128::MAX;
         for _ in 0..5 {
             let start = std::time::Instant::now();
@@ -493,40 +503,36 @@ fn bench_persist(c: &mut Criterion) {
         );
     };
     first_answer("rebuild", &mut || {
-        OnlineIndex::from_strings(strings.iter(), TAU)
+        Box::new(OnlineIndex::from_strings(strings.iter(), TAU))
     });
-    first_answer("load", &mut || OnlineIndex::load(&path).expect("load"));
-    first_answer("load-direct", &mut || {
-        OnlineIndex::load_direct(&path).expect("direct load")
+    first_answer("load", &mut || {
+        Box::new(OnlineIndex::load(&path).expect("load"))
     });
-    first_answer("load-mmap", &mut || {
-        passjoin_store::open_mapped(&path).expect("mapped load")
-    });
-    first_answer("load-instant", &mut || {
-        passjoin_store::open_instant(&path).expect("instant load")
-    });
+    for (name, options) in open_lanes() {
+        first_answer(name, &mut || {
+            Box::new(CheckpointedIndex::open(&path, options.clone()).expect("store open"))
+        });
+    }
     first_answer("delta-replay", &mut || {
-        passjoin_store::load_chain(&path).expect("chain load").0
+        Box::new(CheckpointedIndex::open(&chained, OpenOptions::new()).expect("chain open"))
     });
 
-    // Scaling spot-check: instant load against a 10× corpus. The direct
+    // Scaling spot-check: instant open against a 10× corpus. The direct
     // appendix keeps open cost in section headers, not postings, so the
     // two timings should stay within the same small constant.
     let big: Vec<Vec<u8>> = DatasetSpec::new(DatasetKind::Author, CORPUS_N * 10)
         .with_seed(43)
         .generate();
-    let big_path = std::env::temp_dir().join(format!(
-        "passjoin-bench-online-{}-10x.snap",
-        std::process::id()
-    ));
+    let big_path = temp("-10x");
     OnlineIndex::from_strings(big.iter(), TAU)
         .save(&big_path)
         .expect("10x snapshot save");
     let instant_min = |path: &std::path::PathBuf| {
         let mut best = u128::MAX;
         for _ in 0..10 {
+            let options = OpenOptions::new().mmap(true).instant(true);
             let start = std::time::Instant::now();
-            std::hint::black_box(passjoin_store::open_instant(path).expect("instant load"));
+            std::hint::black_box(CheckpointedIndex::open(path, options).expect("instant open"));
             best = best.min(start.elapsed().as_nanos());
         }
         best as f64 / 1_000_000.0
@@ -538,11 +544,12 @@ fn bench_persist(c: &mut Criterion) {
         instant_min(&big_path),
     );
 
-    let _ = std::fs::remove_file(&big_path);
-    for delta in passjoin_store::find_chain(&path) {
+    for delta in passjoin_store::find_chain(&chained) {
         let _ = std::fs::remove_file(delta);
     }
-    let _ = std::fs::remove_file(&path);
+    for file in [&big_path, &chained, &path] {
+        let _ = std::fs::remove_file(file);
+    }
 }
 
 criterion_group!(

@@ -51,7 +51,6 @@ pub mod joiner;
 mod parallel;
 pub mod partition;
 mod probe;
-pub mod search;
 pub mod select;
 pub mod sink;
 pub mod topk;
@@ -62,7 +61,6 @@ pub use index::{OwnedSegmentIndex, SegmentIndex, SegmentKey, SegmentMap, Segment
 pub use intern::{InternedSegmentIndex, SegId, SegmentInterner};
 pub use joiner::PassJoin;
 pub use partition::PartitionScheme;
-pub use search::SearchIndex;
 pub use select::{online_window, Selection};
 pub use sink::{
     BudgetSink, CollectSink, CountSink, FnSink, ManualTicks, MatchSink, TickSource, TopKSink,

@@ -146,8 +146,7 @@ impl ProbeState {
                     // bound: a bounded sink (top-k, capped count) must be
                     // paired with a whole-pair verifier here. The join
                     // drivers only pass collecting FnSinks (bound = τ);
-                    // the exact-distance sink paths live in core::search
-                    // and the online engine.
+                    // the exact-distance sink path is the online engine.
                     let bound = sink.bound(tau);
                     match self.verification {
                         Verification::Extension { .. } => {

@@ -1,8 +1,7 @@
 //! Match sinks: where verified matches go, and how they steer the search.
 //!
-//! Every probing path (the join drivers' probing core, the
-//! [`crate::search::SearchIndex`] query loop, and the online subsystem's
-//! execution engine) ends the same way: a candidate survives the
+//! Every probing path (the join drivers' probing core and the online
+//! subsystem's execution engine) ends the same way: a candidate survives the
 //! verification cascade and a `(string id, distance)` match is produced.
 //! What happens *next* used to be hard-coded as "push onto a `Vec`" — which
 //! forces full materialization even when the caller wants only a count, the
@@ -66,7 +65,7 @@ pub trait MatchSink {
     /// *extension*-verified probe path reports upper-bound certificates,
     /// not exact distances — bounded sinks must not be combined with it
     /// (see the note in `probe.rs`); every exact-distance path
-    /// (`core::search`, the online engine) upholds the contract.
+    /// (the online engine) upholds the contract.
     fn push(&mut self, id: StringId, dist: usize);
 
     /// The largest distance still worth verifying, given the query

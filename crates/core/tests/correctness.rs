@@ -148,28 +148,6 @@ proptest! {
     }
 
     #[test]
-    fn search_index_matches_bruteforce(
-        dictionary in dense_corpus(),
-        query in proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..12),
-        tau in 0usize..4,
-    ) {
-        let dict = StringCollection::new(dictionary.clone());
-        let index = passjoin::SearchIndex::build(&dict, tau);
-        let mut got = index.query(&query);
-        got.sort_unstable();
-        let mut expected: Vec<(u32, usize)> = dictionary
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                let d = editdist::edit_distance(s, &query);
-                (d <= tau).then_some((i as u32, d))
-            })
-            .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
-
-    #[test]
     fn self_join_distances_are_exact(strings in dense_corpus(), tau in 0usize..4) {
         let coll = StringCollection::new(strings.clone());
         for ((a, b), d) in PassJoin::new().self_join_distances(&coll, tau) {

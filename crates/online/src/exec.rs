@@ -30,9 +30,6 @@
 //!   [`CachePolicy::Use`](crate::CachePolicy::Use)) consult the source's
 //!   epoch-validated LRU cache; the per-request outcome is reported in
 //!   [`QueryOutcome::cache`].
-//!
-//! The deprecated legacy methods are one-line wrappers over the
-//! `legacy_*` helpers at the bottom — same engine, fixed shape.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -222,7 +219,7 @@ pub trait Queryable {
     /// as `(id, exact distance)`, ascending by id. Equivalent to
     /// `search(&SearchRequest::new(query, tau)).matches`.
     fn matches(&self, query: &[u8], tau: usize) -> Vec<Match> {
-        legacy_query(require_source(self.exec_source()).inner, query, tau)
+        collect_matches(require_source(self.exec_source()).inner, query, tau)
     }
 
     /// The largest per-query threshold this source supports.
@@ -304,8 +301,7 @@ impl ReqObs<'_> {
 }
 
 /// The engine-internal view of one request: borrowed bytes plus the shape
-/// flags, so legacy surfaces (borrowed query lists + one τ) run the same
-/// loop without materializing `SearchRequest`s.
+/// flags, with unlimited budgets and pools already filtered out.
 #[derive(Clone, Copy)]
 struct ReqView<'a> {
     query: &'a [u8],
@@ -332,18 +328,6 @@ impl<'a> ReqView<'a> {
                 .batch_budget()
                 .map(|b| b.pool().as_ref())
                 .filter(|p| !p.is_unlimited()),
-        }
-    }
-
-    fn plain(query: &'a [u8], tau: usize) -> Self {
-        Self {
-            query,
-            tau,
-            limit: None,
-            count_only: false,
-            use_cache: false,
-            budget: None,
-            pool: None,
         }
     }
 
@@ -426,7 +410,7 @@ impl PlanSlot {
 /// budgets tighten to the bound, and a saturated sink stops everything.
 /// Work is announced through the sink's note hooks *before* it runs, so
 /// a [`BudgetSink`] can cap it. For collecting sinks (bound = τ, never
-/// saturated, no-op hooks) this is byte-for-byte the legacy probing loop.
+/// saturated, no-op hooks) this is the plain collect-everything scan.
 fn run_plan<S: MatchSink + ?Sized>(
     inner: &Inner,
     plan: &LengthPlan,
@@ -1254,71 +1238,18 @@ fn run_batch(source: &ExecSource<'_>, reqs: &[SearchRequest]) -> SearchResponse 
     }
 }
 
-// ---------------------------------------------------------------------
-// Legacy-shaped helpers: the deprecated wrappers on `OnlineIndex` and
-// `Snapshot` are one-liners over these, so the old surfaces keep their
-// exact signatures and semantics while running on the engine above.
-// ---------------------------------------------------------------------
-
-/// Plain query, collected and id-sorted — the legacy `query` shape.
-pub(crate) fn legacy_query(inner: &Inner, query: &[u8], tau: usize) -> Vec<Match> {
-    let mut scratch = QueryScratch::default();
-    let mut out = Vec::new();
-    query_into(inner, query, tau, &mut scratch, &mut out);
-    out
-}
-
-/// Plain query appending to a caller-owned vector with caller-owned
-/// scratch — the legacy `query_with` shape.
-pub(crate) fn query_into(
-    inner: &Inner,
-    query: &[u8],
-    tau: usize,
-    scratch: &mut QueryScratch,
-    out: &mut Vec<Match>,
-) {
+/// [`Queryable::matches`]'s engine entry: one plain query, collected and
+/// id-sorted, bypassing the cache and instrumentation.
+fn collect_matches(inner: &Inner, query: &[u8], tau: usize) -> Vec<Match> {
     let mut plans = PlanSlot::default();
     let plan = plans.get(inner, query.len(), tau);
-    let from = out.len();
+    let mut out = Vec::new();
     let mut stats = ExecStats::default();
     {
-        let mut sink = CollectSink::new(out);
-        run_plan(inner, plan, query, tau, scratch, &mut sink, &mut stats);
+        let mut sink = CollectSink::new(&mut out);
+        let mut scratch = QueryScratch::default();
+        run_plan(inner, plan, query, tau, &mut scratch, &mut sink, &mut stats);
     }
-    out[from..].sort_unstable();
-}
-
-/// Uniform-τ batch returning bare match vectors — the legacy
-/// `query_batch`/`par_query_batch` shape (`threads = 0` ⇒ available
-/// parallelism).
-pub(crate) fn legacy_batch<Q: AsRef<[u8]> + Sync>(
-    source: &ExecSource<'_>,
-    queries: &[Q],
-    tau: usize,
-    threads: usize,
-) -> Vec<Vec<Match>> {
-    let views: Vec<ReqView<'_>> = queries
-        .iter()
-        .map(|q| ReqView::plain(q.as_ref(), tau))
-        .collect();
-    // The legacy 0-means-available convention is exactly Threads(0).
-    let threads = Parallelism::Threads(threads).resolve();
-    run_views(source, &views, threads)
-        .into_iter()
-        .map(QueryOutcome::into_matches)
-        .collect()
-}
-
-/// Cached plain query returning the shared result — the legacy
-/// `query_cached` shape (hits hand out the cached `Arc` itself).
-pub(crate) fn legacy_cached(source: &ExecSource<'_>, query: &[u8], tau: usize) -> Arc<Vec<Match>> {
-    let Some(cache) = source.cache else {
-        return Arc::new(legacy_query(source.inner, query, tau));
-    };
-    if let Some(hit) = lock(cache).lookup(query, tau, source.epoch) {
-        return hit;
-    }
-    let result = Arc::new(legacy_query(source.inner, query, tau));
-    lock(cache).insert(query, tau, source.epoch, Arc::clone(&result));
-    result
+    out.sort_unstable();
+    out
 }

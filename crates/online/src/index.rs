@@ -47,7 +47,6 @@ use sj_common::{SharedBytes, StringId};
 use crate::cache::{CacheStats, QueryCache};
 use crate::exec::{ExecSource, Queryable};
 use crate::obs::EngineObs;
-use crate::Match;
 
 /// Default capacity of the per-index query cache.
 pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 1024;
@@ -466,12 +465,10 @@ impl SegMemo {
 }
 
 /// Reusable per-thread scratch for queries (dedup stamps + DP rows + the
-/// interned backend's substring-resolution memo).
-/// Create one per worker via [`OnlineIndex::scratch`]/[`Snapshot::scratch`]
-/// and pass it to the `*_with` query variants to avoid per-query
-/// allocation.
+/// interned backend's substring-resolution memo); the engine keeps one per
+/// batch worker so queries do not allocate.
 #[derive(Debug)]
-pub struct QueryScratch {
+pub(crate) struct QueryScratch {
     pub(crate) resolved: StampSet,
     pub(crate) ws: DpWorkspace,
     pub(crate) seg_memo: SegMemo,
@@ -505,10 +502,6 @@ impl Default for QueryScratch {
 }
 
 impl QueryScratch {
-    fn new() -> Self {
-        Self::default()
-    }
-
     /// Prepares for one query of `query_len` bytes over an id universe of
     /// the given size.
     pub(crate) fn begin(&mut self, universe: usize, query_len: usize) {
@@ -840,13 +833,14 @@ impl OnlineIndexBuilder {
     ///
     /// Panics on [`KeyBackend::Direct`]: that backend is load-only (the
     /// snapshot buffer *is* the index — there is nothing to build). Use
-    /// [`OnlineIndex::load_direct`](crate::OnlineIndex::load_direct)
-    /// instead.
+    /// `passjoin_store::CheckpointedIndex::open` (or
+    /// [`OnlineIndex::from_snapshot_file`](crate::OnlineIndex::from_snapshot_file)
+    /// with [`LoadMode::Direct`](crate::LoadMode::Direct)) instead.
     pub fn key_backend(mut self, backend: KeyBackend) -> Self {
         assert!(
             backend != KeyBackend::Direct,
             "KeyBackend::Direct is load-only; build with Owned or Interned \
-             and load v3 snapshots via OnlineIndex::load_direct"
+             and open v3 snapshots via passjoin_store::CheckpointedIndex::open"
         );
         self.key_backend = backend;
         self
@@ -981,35 +975,6 @@ impl OnlineIndex {
         Self::builder(tau_max).build_from(strings)
     }
 
-    /// An empty index with an explicit segment-key backend.
-    #[deprecated(note = "use OnlineIndex::builder(tau_max).key_backend(..).build()")]
-    pub fn with_key_backend(tau_max: usize, backend: KeyBackend) -> Self {
-        Self::builder(tau_max).key_backend(backend).build()
-    }
-
-    /// [`OnlineIndex::from_strings`] with an explicit key backend.
-    #[deprecated(note = "use OnlineIndex::builder(tau_max).key_backend(..).build_from(..)")]
-    pub fn from_strings_with<I, S>(strings: I, tau_max: usize, backend: KeyBackend) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<[u8]>,
-    {
-        Self::builder(tau_max)
-            .key_backend(backend)
-            .build_from(strings)
-    }
-
-    /// Replaces the query cache with one holding `capacity` results
-    /// (0 disables caching). Existing entries are dropped.
-    #[deprecated(
-        note = "use OnlineIndex::builder(..).cache_capacity(..) when building, or \
-                         set_cache_capacity on an existing index"
-    )]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.set_cache_capacity(capacity);
-        self
-    }
-
     /// Replaces the query cache with one holding `capacity` results
     /// (0 disables caching). Existing entries and counters are dropped.
     /// For indices whose construction the caller does not control (e.g.
@@ -1101,63 +1066,6 @@ impl OnlineIndex {
         removed
     }
 
-    /// All live strings within edit distance `tau` of `query`, as
-    /// `(id, exact distance)` in ascending id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tau > tau_max`.
-    #[deprecated(note = "use Queryable::matches, or Queryable::search with a SearchRequest")]
-    pub fn query(&self, query: &[u8], tau: usize) -> Vec<Match> {
-        crate::exec::legacy_query(&self.inner, query, tau)
-    }
-
-    /// Cached plain query: repeated queries against an unmodified index
-    /// are answered without probing. Results are shared (`Arc`), not
-    /// copied.
-    #[deprecated(note = "use Queryable::search with CachePolicy::Use")]
-    pub fn query_cached(&self, query: &[u8], tau: usize) -> Arc<Vec<Match>> {
-        crate::exec::legacy_cached(&self.source(), query, tau)
-    }
-
-    /// A reusable scratch buffer for [`OnlineIndex::query_with`].
-    #[deprecated(note = "the SearchRequest engine manages scratch internally")]
-    pub fn scratch(&self) -> QueryScratch {
-        QueryScratch::new()
-    }
-
-    /// Allocation-free query variant: appends matches to `out` using a
-    /// caller-owned scratch.
-    #[deprecated(note = "use Queryable::search; batches reuse scratch internally")]
-    pub fn query_with(
-        &self,
-        query: &[u8],
-        tau: usize,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Match>,
-    ) {
-        crate::exec::query_into(&self.inner, query, tau, scratch, out);
-    }
-
-    /// Answers a batch of queries at one threshold, sequentially. Results
-    /// align with `queries` by position.
-    #[deprecated(note = "use Queryable::search_batch with SearchRequest::uniform")]
-    pub fn query_batch<Q: AsRef<[u8]> + Sync>(&self, queries: &[Q], tau: usize) -> Vec<Vec<Match>> {
-        crate::exec::legacy_batch(&self.source(), queries, tau, 1)
-    }
-
-    /// Batch queries across `threads` worker threads (0 = available
-    /// parallelism).
-    #[deprecated(note = "use Queryable::search_batch with a Parallelism hint")]
-    pub fn par_query_batch<Q: AsRef<[u8]> + Sync>(
-        &self,
-        queries: &[Q],
-        tau: usize,
-        threads: usize,
-    ) -> Vec<Vec<Match>> {
-        crate::exec::legacy_batch(&self.source(), queries, tau, threads)
-    }
-
     /// A cheap point-in-time view for concurrent readers: O(1) now; the
     /// *next* mutation of the index pays a one-time clone of the state
     /// (copy-on-write). Queries on the snapshot see exactly the state at
@@ -1230,54 +1138,13 @@ impl Snapshot {
     pub fn get(&self, id: StringId) -> Option<&[u8]> {
         self.inner.get(id)
     }
-
-    /// Plain query at snapshot time.
-    #[deprecated(note = "use Queryable::matches, or Queryable::search with a SearchRequest")]
-    pub fn query(&self, query: &[u8], tau: usize) -> Vec<Match> {
-        crate::exec::legacy_query(&self.inner, query, tau)
-    }
-
-    /// Allocation-free query variant with caller-owned scratch.
-    #[deprecated(note = "use Queryable::search; batches reuse scratch internally")]
-    pub fn query_with(
-        &self,
-        query: &[u8],
-        tau: usize,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Match>,
-    ) {
-        crate::exec::query_into(&self.inner, query, tau, scratch, out);
-    }
-
-    /// A reusable scratch buffer for [`Snapshot::query_with`].
-    #[deprecated(note = "the SearchRequest engine manages scratch internally")]
-    pub fn scratch(&self) -> QueryScratch {
-        QueryScratch::new()
-    }
-
-    /// Answers a batch of queries at one threshold, sequentially.
-    #[deprecated(note = "use Queryable::search_batch with SearchRequest::uniform")]
-    pub fn query_batch<Q: AsRef<[u8]> + Sync>(&self, queries: &[Q], tau: usize) -> Vec<Vec<Match>> {
-        crate::exec::legacy_batch(&self.source(), queries, tau, 1)
-    }
-
-    /// Batch queries across `threads` worker threads (0 = available
-    /// parallelism).
-    #[deprecated(note = "use Queryable::search_batch with a Parallelism hint")]
-    pub fn par_query_batch<Q: AsRef<[u8]> + Sync>(
-        &self,
-        queries: &[Q],
-        tau: usize,
-        threads: usize,
-    ) -> Vec<Vec<Match>> {
-        crate::exec::legacy_batch(&self.source(), queries, tau, threads)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::request::{CacheOutcome, CachePolicy, ExecStats, SearchRequest};
+    use crate::Match;
 
     fn brute(index: &OnlineIndex, query: &[u8], tau: usize) -> Vec<Match> {
         (0..index.inner.universe() as u32)

@@ -78,14 +78,6 @@
 //! index.insert(b"jim gray");
 //! assert_eq!(snapshot.len(), 2, "snapshot is point-in-time");
 //! ```
-//!
-//! # Relation to `passjoin::SearchIndex`
-//!
-//! [`passjoin::SearchIndex`] is the static half-step: immutable, one fixed
-//! τ, borrowing its dictionary. `OnlineIndex` owns its strings, accepts
-//! mutations, serves any `τ ≤ τ_max` from one index (via
-//! [`passjoin::online_window`]'s mixed-τ selection windows), and adds the
-//! serving-layer pieces: batching, caching, snapshots.
 
 pub mod cache;
 mod exec;
@@ -101,7 +93,7 @@ pub use cache::CacheStats;
 #[doc(hidden)]
 pub use exec::ExecSource;
 pub use exec::Queryable;
-pub use index::{KeyBackend, OnlineIndex, OnlineIndexBuilder, OnlineStats, QueryScratch, Snapshot};
+pub use index::{KeyBackend, OnlineIndex, OnlineIndexBuilder, OnlineStats, Snapshot};
 pub use obs::{wall_deadline, EngineObs, WallClockTicks};
 pub use passjoin::sink::{
     pull_channel, BudgetPool, BudgetSink, CollectSink, CountSink, FnSink, ManualTicks, MatchSink,

@@ -161,7 +161,7 @@ impl OnlineIndex {
     /// SPANS/SEGMENTS pages are simply evicted by the OS. Callers that
     /// must minimize heap today can rebuild from the corpus instead.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        load_impl(path.as_ref(), LoadMode::Rebuild, None)
+        load_impl(path.as_ref(), None)
     }
 
     /// [`OnlineIndex::load`] with observability attached for the load
@@ -171,39 +171,7 @@ impl OnlineIndex {
     /// [`OnlineIndexBuilder::observability`](crate::OnlineIndexBuilder::observability)
     /// had been set before building).
     pub fn load_with(path: impl AsRef<Path>, obs: Arc<EngineObs>) -> Result<Self, PersistError> {
-        let mut index = load_impl(path.as_ref(), LoadMode::Rebuild, Some(&obs))?;
-        index.set_observability(Some(obs));
-        Ok(index)
-    }
-
-    /// [`OnlineIndex::load`] via [`LoadMode::Direct`] with deep validation:
-    /// the segment lane is the file's own sorted-run appendix (v3+), so no
-    /// posting is replayed and no hash map is allocated. Queries answer
-    /// byte-identically to a [`OnlineIndex::load`] of the same file; the
-    /// first mutation transparently rebuilds the original backend.
-    pub fn load_direct(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        load_impl(
-            path.as_ref(),
-            LoadMode::Direct {
-                deep_validate: true,
-            },
-            None,
-        )
-    }
-
-    /// [`OnlineIndex::load_direct`] with observability attached, exactly
-    /// as [`OnlineIndex::load_with`] does for the rebuild path.
-    pub fn load_direct_with(
-        path: impl AsRef<Path>,
-        obs: Arc<EngineObs>,
-    ) -> Result<Self, PersistError> {
-        let mut index = load_impl(
-            path.as_ref(),
-            LoadMode::Direct {
-                deep_validate: true,
-            },
-            Some(&obs),
-        )?;
+        let mut index = load_impl(path.as_ref(), Some(&obs))?;
         index.set_observability(Some(obs));
         Ok(index)
     }
@@ -212,35 +180,29 @@ impl OnlineIndex {
     /// point `passjoin-store` uses to combine its own buffer strategy
     /// (mmap, lazy CRC validation) with either [`LoadMode`]. The index
     /// adopts `file`'s buffer; the caller keeps control of how that buffer
-    /// was produced and which payload CRCs were verified up front.
-    pub fn from_snapshot_file(file: &SnapshotFile, mode: LoadMode) -> Result<Self, PersistError> {
-        load_file_impl(file, mode, None)
-    }
-
-    /// [`OnlineIndex::from_snapshot_file`] with observability attached,
-    /// exactly as [`OnlineIndex::load_with`] does for the path-based API.
-    pub fn from_snapshot_file_with(
+    /// was produced and which payload CRCs were verified up front. With
+    /// `obs`, the load's decode/validate phases are recorded and the index
+    /// comes back instrumented, exactly as [`OnlineIndex::load_with`] does
+    /// for the path-based API.
+    pub fn from_snapshot_file(
         file: &SnapshotFile,
         mode: LoadMode,
-        obs: Arc<EngineObs>,
+        obs: Option<Arc<EngineObs>>,
     ) -> Result<Self, PersistError> {
-        let mut index = load_file_impl(file, mode, Some(&obs))?;
-        index.set_observability(Some(obs));
+        let mut index = load_file_impl(file, mode, obs.as_deref())?;
+        index.set_observability(obs);
         Ok(index)
     }
 }
 
-fn load_impl(
-    path: &Path,
-    mode: LoadMode,
-    obs: Option<&EngineObs>,
-) -> Result<OnlineIndex, PersistError> {
+/// The path-based rebuild load: read the file, then decode it.
+fn load_impl(path: &Path, obs: Option<&EngineObs>) -> Result<OnlineIndex, PersistError> {
     let mut timer = obs.map(PhaseTimer::new);
     let file = SnapshotFile::open(path)?;
     if let Some(t) = timer.as_mut() {
         t.lap(|o| &o.snapshot_load_read_ns);
     }
-    load_file_impl(&file, mode, obs)
+    load_file_impl(&file, LoadMode::Rebuild, obs)
 }
 
 fn load_file_impl(

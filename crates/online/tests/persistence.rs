@@ -6,7 +6,7 @@
 //! a wrong version, garbage — is rejected with a typed error, never a
 //! panic.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use passjoin_online::{OnlineIndex, PersistError, Queryable};
@@ -857,8 +857,8 @@ mod interned_backend {
     }
 }
 
-/// The direct-probe load path (format v3, sections 6–9): a
-/// [`OnlineIndex::load_direct`] of any snapshot must be indistinguishable
+/// The direct-probe load path (format v3, sections 6–9): a deep-validated
+/// [`LoadMode::Direct`] load of any snapshot must be indistinguishable
 /// from the [`OnlineIndex::load`] of the same file — byte-identical query
 /// results, identical metadata, byte-identical re-saves — while never
 /// replaying a posting; it must stay fully mutable through backend
@@ -866,7 +866,18 @@ mod interned_backend {
 /// treatment as every other section.
 mod direct_backend {
     use super::*;
-    use passjoin_online::KeyBackend;
+    use passjoin_online::{KeyBackend, LoadMode};
+    use passjoin_persist::SnapshotFile;
+
+    /// The direct lane with full eager validation: every section CRC and
+    /// the deep structural scan of the appendix run before it returns.
+    fn direct_load(path: &Path) -> Result<OnlineIndex, PersistError> {
+        let file = SnapshotFile::open(path)?;
+        let mode = LoadMode::Direct {
+            deep_validate: true,
+        };
+        OnlineIndex::from_snapshot_file(&file, mode, None)
+    }
 
     fn build(strings: &[Vec<u8>], tau_max: usize, backend: KeyBackend) -> OnlineIndex {
         OnlineIndex::builder(tau_max)
@@ -893,7 +904,7 @@ mod direct_backend {
             }
             let file = save_to_temp(&index, "direct-diff");
             let rebuilt = OnlineIndex::load(&file.0).expect("rebuild load must succeed");
-            let direct = OnlineIndex::load_direct(&file.0).expect("direct load must succeed");
+            let direct = direct_load(&file.0).expect("direct load must succeed");
             prop_assert_eq!(rebuilt.key_backend(), origin);
             prop_assert_eq!(direct.key_backend(), KeyBackend::Direct);
             let mut queries = strings.clone();
@@ -913,7 +924,7 @@ mod direct_backend {
             let mut index = build(&strings, 2, origin);
             index.remove(9);
             let file = save_to_temp(&index, "direct-resave");
-            let direct = OnlineIndex::load_direct(&file.0).unwrap();
+            let direct = direct_load(&file.0).unwrap();
             let resave = save_to_temp(&direct, "direct-resave-out");
             assert_eq!(
                 std::fs::read(&file.0).unwrap(),
@@ -929,7 +940,7 @@ mod direct_backend {
         for origin in [KeyBackend::Owned, KeyBackend::Interned] {
             let strings = planted_corpus(150, 23, 2);
             let file = save_to_temp(&build(&strings, 2, origin), "direct-promote");
-            let mut direct = OnlineIndex::load_direct(&file.0).unwrap();
+            let mut direct = direct_load(&file.0).unwrap();
             let mut twin = OnlineIndex::load(&file.0).unwrap();
             assert_eq!(direct.key_backend(), KeyBackend::Direct);
 
@@ -962,7 +973,7 @@ mod direct_backend {
     #[test]
     fn empty_index_loads_direct() {
         let file = save_to_temp(&OnlineIndex::new(2), "direct-empty");
-        let loaded = OnlineIndex::load_direct(&file.0).unwrap();
+        let loaded = direct_load(&file.0).unwrap();
         assert!(loaded.is_empty());
         assert!(loaded.matches(b"anything", 2).is_empty());
     }
@@ -980,7 +991,7 @@ mod direct_backend {
             let file = TempFile(temp_snapshot_path("direct-trunc"));
             std::fs::write(&file.0, &bytes[..cut]).unwrap();
             assert!(
-                OnlineIndex::load_direct(&file.0).is_err(),
+                direct_load(&file.0).is_err(),
                 "truncation to {cut}/{} bytes must be rejected",
                 bytes.len()
             );
@@ -999,7 +1010,7 @@ mod direct_backend {
             let file = TempFile(temp_snapshot_path("direct-flip"));
             std::fs::write(&file.0, &flipped).unwrap();
             assert!(
-                OnlineIndex::load_direct(&file.0).is_err(),
+                direct_load(&file.0).is_err(),
                 "flipped byte at offset {at} must be rejected"
             );
         }
@@ -1063,7 +1074,7 @@ mod direct_backend {
             }
             let file = TempFile(temp_snapshot_path(tag));
             writer.save(&file.0)?;
-            OnlineIndex::load_direct(&file.0)
+            direct_load(&file.0)
         }
 
         #[test]
@@ -1144,7 +1155,7 @@ mod direct_backend {
             let out = TempFile(temp_snapshot_path("direct-dir-lie"));
             writer.save(&out.0).unwrap();
             assert!(matches!(
-                OnlineIndex::load_direct(&out.0),
+                direct_load(&out.0),
                 Err(PersistError::Corrupt { .. })
             ));
             // The rebuild path never reads the appendix and still loads.
@@ -1187,14 +1198,14 @@ mod direct_backend {
             let file = TempFile(temp_snapshot_path("v2-direct"));
             std::fs::write(&file.0, bytes).unwrap();
             assert!(matches!(
-                OnlineIndex::load_direct(&file.0),
+                direct_load(&file.0),
                 Err(PersistError::MissingSection { .. })
             ));
 
             // A re-save of the v2-loaded index writes v3 with the appendix
             // and becomes direct-loadable.
             let resave = save_to_temp(&loaded, "v2-resave");
-            let direct = OnlineIndex::load_direct(&resave.0).unwrap();
+            let direct = direct_load(&resave.0).unwrap();
             assert_eq!(direct.matches(b"pass-join", 1).len(), 2);
         }
     }

@@ -1,23 +1,19 @@
-//! Differential harness for the typed query API: the
-//! [`SearchRequest`]/[`Queryable`] engine must be **byte-identical** to
-//! every legacy query surface it replaced — `query`, `query_with`,
-//! `query_batch`, `par_query_batch`, `query_cached`, and the `Snapshot`
-//! variants — on both key backends, for every τ ≤ τ_max, on random and
-//! planted corpora. On top of the legacy contract, the new shapes must be
-//! consistent with each other: a mixed-τ batch equals a per-query loop, a
-//! top-k result equals the truncated `(distance, id)`-sorted full result,
-//! and a count equals the full result's length — with the early exits
-//! those shapes promise observable in the per-request statistics.
-//!
-//! This is the designated compatibility suite: it exercises the
-//! deprecated wrappers on purpose.
-#![allow(deprecated)]
+//! Differential harness for the typed query API: every
+//! [`SearchRequest`]/[`Queryable`] path — single, batched, parallel,
+//! cached, and the `Snapshot` variants — must return exactly what a
+//! brute-force edit-distance scan over the live strings returns, on both
+//! key backends, for every τ ≤ τ_max, on random and planted corpora. On
+//! top of that, the shapes must be consistent with each other: a mixed-τ
+//! batch equals a per-query loop, a top-k result equals the truncated
+//! `(distance, id)`-sorted full result, and a count equals the full
+//! result's length — with the early exits those shapes promise observable
+//! in the per-request statistics.
 
-use std::sync::Arc;
+use std::collections::HashSet;
 
 use passjoin_online::{
-    CacheOutcome, CachePolicy, KeyBackend, Match, OnlineIndex, Parallelism, QueryOutcome,
-    Queryable, SearchRequest,
+    CacheOutcome, CachePolicy, KeyBackend, Match, OnlineIndex, Parallelism, Queryable,
+    SearchRequest,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -29,6 +25,18 @@ fn build(strings: &[Vec<u8>], tau_max: usize, backend: KeyBackend) -> OnlineInde
         .build_from(strings.iter())
 }
 
+/// The oracle: every live id within `tau` of `query`, with its exact
+/// distance, ascending by id.
+fn brute(index: &OnlineIndex, query: &[u8], tau: usize) -> Vec<Match> {
+    let stats = index.stats();
+    (0..(stats.live + stats.tombstones) as u32)
+        .filter_map(|id| {
+            let d = editdist::edit_distance(index.get(id)?, query);
+            (d <= tau).then_some((id, d))
+        })
+        .collect()
+}
+
 /// The k smallest matches of `full` by `(distance, id)` — the top-k
 /// reference semantics.
 fn truncate_by_distance(full: &[Match], k: usize) -> Vec<Match> {
@@ -37,45 +45,39 @@ fn truncate_by_distance(full: &[Match], k: usize) -> Vec<Match> {
     scored.into_iter().take(k).map(|(d, id)| (id, d)).collect()
 }
 
-/// Every legacy surface against the typed path, one query at a time.
+/// Every single-query surface against the oracle, one query at a time.
 fn assert_single_paths_agree(index: &OnlineIndex, queries: &[Vec<u8>]) {
     let snapshot = index.snapshot();
     for tau in 0..=index.tau_max() {
         for q in queries {
-            let legacy = index.query(q, tau);
+            let expected = brute(index, q, tau);
             let outcome = index.search(&SearchRequest::new(q.as_slice(), tau));
-            assert_eq!(*outcome.matches, legacy, "search vs query at tau={tau}");
-            assert_eq!(outcome.count, legacy.len());
+            assert_eq!(*outcome.matches, expected, "search at tau={tau}");
+            assert_eq!(outcome.count, expected.len());
             assert_eq!(outcome.cache, CacheOutcome::Bypass);
-            assert_eq!(index.matches(q, tau), legacy, "matches vs query");
+            assert_eq!(index.matches(q, tau), expected, "matches");
 
-            let mut scratch = index.scratch();
-            let mut via_with = vec![(u32::MAX, 0)]; // must append, not clear
-            index.query_with(q, tau, &mut scratch, &mut via_with);
-            assert_eq!(via_with[0], (u32::MAX, 0));
-            assert_eq!(&via_with[1..], legacy.as_slice(), "query_with tail");
-
-            assert_eq!(snapshot.query(q, tau), legacy, "snapshot::query");
+            assert_eq!(snapshot.matches(q, tau), expected, "snapshot::matches");
             assert_eq!(
                 *snapshot
                     .search(&SearchRequest::new(q.as_slice(), tau))
                     .matches,
-                legacy,
+                expected,
                 "snapshot::search"
             );
         }
     }
 }
 
-/// Every legacy batch surface against the typed batch, at every τ.
+/// Every batch surface against the oracle, at every τ.
 fn assert_batch_paths_agree(index: &OnlineIndex, queries: &[Vec<u8>]) {
     let snapshot = index.snapshot();
     for tau in 0..=index.tau_max() {
-        let legacy = index.query_batch(queries, tau);
+        let expected: Vec<Vec<Match>> = queries.iter().map(|q| brute(index, q, tau)).collect();
         let reqs = SearchRequest::uniform(queries, tau);
         assert_eq!(
             index.search_batch(&reqs).into_matches(),
-            legacy,
+            expected,
             "uniform batch at tau={tau}"
         );
         let par_reqs: Vec<SearchRequest> = queries
@@ -86,13 +88,18 @@ fn assert_batch_paths_agree(index: &OnlineIndex, queries: &[Vec<u8>]) {
             .collect();
         assert_eq!(
             index.search_batch(&par_reqs).into_matches(),
-            index.par_query_batch(queries, tau, 3),
+            expected,
             "parallel batch at tau={tau}"
         );
         assert_eq!(
             snapshot.search_batch(&reqs).into_matches(),
-            snapshot.query_batch(queries, tau),
+            expected,
             "snapshot batch at tau={tau}"
+        );
+        assert_eq!(
+            snapshot.search_batch(&par_reqs).into_matches(),
+            expected,
+            "snapshot parallel batch at tau={tau}"
         );
     }
 }
@@ -150,7 +157,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn request_path_equals_legacy_on_both_backends(
+    fn request_paths_equal_brute_force_on_both_backends(
         strings in dense_corpus(),
         extra in off_corpus_queries(),
         tau_max in 1usize..4,
@@ -180,28 +187,34 @@ proptest! {
     }
 
     #[test]
-    fn cached_request_equals_legacy_query_cached(
+    fn cached_requests_equal_brute_force(
         strings in dense_corpus(),
         tau_max in 1usize..4,
     ) {
         for backend in [KeyBackend::Owned, KeyBackend::Interned] {
-            // Two indices with identical contents: one exercises the
-            // legacy wrapper, the other the typed path — their cache
-            // behaviour and results must line up query-for-query.
-            let legacy_ix = build(&strings, tau_max, backend);
-            let typed_ix = build(&strings, tau_max, backend);
+            // Round 0 misses on the first occurrence of each distinct
+            // query and hits on repeats; round 1 hits throughout. Every
+            // answer, hit or miss, equals the oracle.
+            let index = build(&strings, tau_max, backend);
             for round in 0..2 {
+                let mut seen = HashSet::new();
                 for q in &strings {
-                    let legacy: Arc<Vec<Match>> = legacy_ix.query_cached(q, tau_max);
-                    let typed: QueryOutcome = typed_ix.search(
+                    let outcome = index.search(
                         &SearchRequest::new(q.as_slice(), tau_max).with_cache(CachePolicy::Use),
                     );
-                    prop_assert_eq!(&*legacy, &*typed.matches, "round {}", round);
+                    prop_assert_eq!(&*outcome.matches, &brute(&index, q, tau_max), "round {}", round);
+                    let expected = if round == 0 && seen.insert(q) {
+                        CacheOutcome::Miss
+                    } else {
+                        CacheOutcome::Hit
+                    };
+                    prop_assert_eq!(outcome.cache, expected, "round {}", round);
                 }
             }
-            let (l, t) = (legacy_ix.cache_stats(), typed_ix.cache_stats());
-            prop_assert_eq!(l.hits, t.hits, "hit counters must match");
-            prop_assert_eq!(l.misses, t.misses);
+            let distinct = strings.iter().collect::<HashSet<_>>().len() as u64;
+            let stats = index.cache_stats();
+            prop_assert_eq!(stats.misses, distinct, "one miss per distinct query");
+            prop_assert_eq!(stats.hits, 2 * strings.len() as u64 - distinct);
         }
     }
 }
@@ -310,45 +323,6 @@ fn queryable_is_object_safe_over_both_sources() {
         assert_eq!(batch.outcomes.len(), 1);
         assert_eq!(batch.totals().matches, 2);
     }
-}
-
-#[test]
-fn deprecated_constructors_equal_builder() {
-    let strings: Vec<&[u8]> = vec![b"builder", b"bulider", b"unrelated"];
-    let via_builder = OnlineIndex::builder(2)
-        .key_backend(KeyBackend::Interned)
-        .build_from(strings.iter())
-        .snapshot();
-    let via_deprecated =
-        OnlineIndex::from_strings_with(strings.iter(), 2, KeyBackend::Interned).snapshot();
-    assert_eq!(via_builder.key_backend(), via_deprecated.key_backend());
-    for q in &strings {
-        assert_eq!(via_builder.matches(q, 2), via_deprecated.matches(q, 2));
-    }
-
-    let mut empty = OnlineIndex::with_key_backend(1, KeyBackend::Interned);
-    assert_eq!(empty.key_backend(), KeyBackend::Interned);
-    empty.insert(b"still works");
-    assert_eq!(empty.matches(b"still works", 0).len(), 1);
-
-    // with_cache_capacity(0) still disables caching through the wrapper.
-    let mut uncached = OnlineIndex::new(1).with_cache_capacity(0);
-    uncached.insert(b"abc");
-    let req = SearchRequest::new(b"abc", 1).with_cache(CachePolicy::Use);
-    assert_eq!(uncached.search(&req).cache, CacheOutcome::Miss);
-    assert_eq!(uncached.search(&req).cache, CacheOutcome::Miss);
-    assert_eq!(uncached.cache_stats().hits, 0);
-}
-
-#[test]
-fn legacy_cached_arc_identity_is_preserved() {
-    // The legacy wrapper's contract includes *sharing* (`Arc` identity) on
-    // repeat hits — pinned so the wrapper stays a true drop-in.
-    let mut index = OnlineIndex::new(1);
-    index.insert(b"shared result");
-    let first = index.query_cached(b"shared result", 1);
-    let again = index.query_cached(b"shared result", 1);
-    assert!(Arc::ptr_eq(&first, &again), "hits must share the result");
 }
 
 #[test]

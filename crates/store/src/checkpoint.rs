@@ -109,10 +109,6 @@ pub struct OpenOptions {
     /// immediately from the shallow-validated (bounds-checked) view;
     /// see [`CheckpointedIndex::verification`] for the caveat.
     pub instant: bool,
-    /// Force the legacy rebuild load path (hash maps replayed from the
-    /// posting stream) instead of the v3 direct appendix. Mostly for
-    /// differential testing; v2 snapshots take this path automatically.
-    pub rebuild: bool,
     /// Anchor the delta chain at this path instead of the base snapshot
     /// (`<anchor>.delta-1`, …) — for read-only snapshot locations, or to
     /// keep checkpoints on faster storage. Discovery at open follows the
@@ -137,12 +133,6 @@ impl OpenOptions {
     /// Sets [`OpenOptions::instant`].
     pub fn instant(mut self, yes: bool) -> Self {
         self.instant = yes;
-        self
-    }
-
-    /// Sets [`OpenOptions::rebuild`].
-    pub fn rebuild(mut self, yes: bool) -> Self {
-        self.rebuild = yes;
         self
     }
 
@@ -197,9 +187,9 @@ impl CheckpointedIndex {
     /// Opens `base` and replays its delta chain, recovering exactly the
     /// state of the last completed checkpoint.
     ///
-    /// The base loads via the v3 direct appendix (no posting replay)
-    /// unless [`OpenOptions::rebuild`] asks otherwise; a v2 snapshot
-    /// without the appendix falls back to the rebuild path. With
+    /// The base loads via the v3 direct appendix (no posting replay); a
+    /// v2 snapshot without the appendix falls back to the rebuild path
+    /// (`OnlineIndex::load`'s lane). With
     /// [`OpenOptions::instant`], CRC and deep validation run on a
     /// background thread and open returns as soon as the metadata
     /// sections parse.
@@ -222,17 +212,14 @@ impl CheckpointedIndex {
         } else {
             SnapshotFile::parse(buf)?
         };
-        let mode = if options.rebuild || !segdirect::has_direct_sections(&file) {
-            LoadMode::Rebuild
-        } else {
+        let mode = if segdirect::has_direct_sections(&file) {
             LoadMode::Direct {
                 deep_validate: !options.instant,
             }
+        } else {
+            LoadMode::Rebuild
         };
-        let mut index = match &engine_obs {
-            Some(obs) => OnlineIndex::from_snapshot_file_with(&file, mode, Arc::clone(obs))?,
-            None => OnlineIndex::from_snapshot_file(&file, mode)?,
-        };
+        let mut index = OnlineIndex::from_snapshot_file(&file, mode, engine_obs)?;
 
         let verify = Arc::new(Mutex::new(
             if options.instant && mode != LoadMode::Rebuild {

@@ -4,6 +4,10 @@
 //! owns everything above it — where a chain lives on disk, how a loader
 //! finds it, and how a log replays onto a loaded base index without ever
 //! silently diverging from the state the log was recorded against.
+//! [`CheckpointedIndex::open`](crate::CheckpointedIndex::open) is the
+//! loader: it discovers the chain with [`find_chain`] and replays each
+//! file with [`apply_delta`] — for the serving wrapper and for the CLI's
+//! automatic chain detection alike.
 //!
 //! # Chain layout
 //!
@@ -133,21 +137,6 @@ pub fn apply_delta(
         return Err(corrupt("delta replay did not land on the recorded epoch"));
     }
     Ok(())
-}
-
-/// Loads `base` with the default (fully validated, rebuild) load path
-/// and replays its whole chain. The simple entry for tools that want
-/// "the state as of the last checkpoint" without the serving wrapper —
-/// the CLI's auto chain detection uses it. Returns the index and the
-/// number of chain files replayed.
-pub fn load_chain(base: &Path) -> Result<(OnlineIndex, usize), PersistError> {
-    let mut index = OnlineIndex::load(base)?;
-    let chain = find_chain(base);
-    for path in &chain {
-        let (meta, ops) = read_delta_file(path)?;
-        apply_delta(&mut index, &meta, &ops)?;
-    }
-    Ok((index, chain.len()))
 }
 
 #[cfg(test)]

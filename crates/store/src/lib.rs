@@ -12,13 +12,18 @@
 //!   (with a `fs::read` fallback everywhere mapping is unavailable);
 //! * [`delta`] — delta-checkpoint *chains*: `<base>.delta-1`, `-2`, …
 //!   placement, gap-safe discovery, and verified replay of the
-//!   insert/remove log onto a loaded base ([`load_chain`] is the
-//!   one-call recovery path);
+//!   insert/remove log onto a loaded base;
 //! * [`checkpoint`] — the serving wrapper: [`CheckpointedIndex`]
 //!   queries like any [`Queryable`](passjoin_online::Queryable), logs
 //!   every mutation, and drains the log to the next delta file;
 //!   [`Checkpointer`] does so periodically on a background thread and
 //!   once more at shutdown, with `passjoin_store_*` metrics.
+//!
+//! [`CheckpointedIndex::open`] is the one serving load: [`OpenOptions`]
+//! picks a buffered read or an mmap, eager or deferred validation, and
+//! the open always replays the base's delta chain (the CLI's automatic
+//! chain detection goes through it too). A plain, fully validated load
+//! without a chain is `OnlineIndex::load`.
 //!
 //! Put together with format v3's direct postings appendix (probed
 //! straight out of the loaded buffer, no hash-map rebuild) the restart
@@ -48,48 +53,6 @@ pub mod checkpoint;
 pub mod delta;
 pub mod mmap;
 
-use std::path::Path;
-
-use passjoin_online::{LoadMode, OnlineIndex};
-use passjoin_persist::{PersistError, SnapshotFile};
-
 pub use checkpoint::{CheckpointedIndex, Checkpointer, OpenOptions, StoreObs, VerifyState};
-pub use delta::{delta_path, find_chain, load_chain};
+pub use delta::{delta_path, find_chain};
 pub use mmap::{map_file, open_bytes, read_file};
-
-/// Loads a snapshot through the instant-restart path without the
-/// serving wrapper: mmap (where available), lazy CRC validation,
-/// direct postings, no chain replay. The caller owns the trade-off
-/// documented on [`CheckpointedIndex::verification`]: integrity checks
-/// beyond the header and metadata sections have not run yet.
-///
-/// Falls back to the rebuild path for pre-v3 snapshots (no direct
-/// appendix).
-pub fn open_instant(path: impl AsRef<Path>) -> Result<OnlineIndex, PersistError> {
-    let (buf, _) = open_bytes(path.as_ref(), true)?;
-    let file = SnapshotFile::parse_lazy(buf)?;
-    let mode = if passjoin_persist::segdirect::has_direct_sections(&file) {
-        LoadMode::Direct {
-            deep_validate: false,
-        }
-    } else {
-        LoadMode::Rebuild
-    };
-    OnlineIndex::from_snapshot_file(&file, mode)
-}
-
-/// Loads a snapshot via mmap with *full* eager validation — the safe
-/// sibling of [`open_instant`] when restart latency can afford the
-/// checks: all CRCs and, on the direct path, the deep structural scan.
-pub fn open_mapped(path: impl AsRef<Path>) -> Result<OnlineIndex, PersistError> {
-    let (buf, _) = open_bytes(path.as_ref(), true)?;
-    let file = SnapshotFile::parse(buf)?;
-    let mode = if passjoin_persist::segdirect::has_direct_sections(&file) {
-        LoadMode::Direct {
-            deep_validate: true,
-        }
-    } else {
-        LoadMode::Rebuild
-    };
-    OnlineIndex::from_snapshot_file(&file, mode)
-}

@@ -2,9 +2,11 @@
 //! handle.
 //!
 //! `OnlineIndex::load` reads the whole snapshot with `fs::read`, so load
-//! cost is linear in file size before a single section is decoded. This
-//! module maps the file instead: [`map_file`] wraps a read-only, private
-//! `mmap(2)` of the snapshot in a [`SharedBytes`], so the loader's
+//! cost is linear in file size before a single section is decoded. With
+//! [`OpenOptions::mmap`](crate::OpenOptions::mmap) set,
+//! [`CheckpointedIndex::open`](crate::CheckpointedIndex::open) maps the
+//! file instead, through [`open_bytes`]: [`map_file`] wraps a read-only,
+//! private `mmap(2)` of the snapshot in a [`SharedBytes`], so the loader's
 //! zero-copy views (string arena, direct postings) become *page-granular
 //! and lazy* — the kernel faults pages in as queries touch them, and a
 //! restart touches only the header, section table, and metadata pages.

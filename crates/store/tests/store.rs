@@ -1,15 +1,14 @@
 //! End-to-end tests of the instant-restart subsystem: checkpoint chains,
 //! crash recovery, load-mode parity, and hostile delta files.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use passjoin_obs::Registry;
 use passjoin_online::{OnlineIndex, PersistError, Queryable, SearchRequest};
 use passjoin_store::{
-    delta_path, find_chain, load_chain, open_instant, open_mapped, CheckpointedIndex, Checkpointer,
-    OpenOptions, VerifyState,
+    delta_path, find_chain, CheckpointedIndex, Checkpointer, OpenOptions, VerifyState,
 };
 
 /// A scratch directory that cleans up after itself.
@@ -59,6 +58,21 @@ fn probe_queries() -> Vec<Vec<u8>> {
         b"record-9999-omega".to_vec(),
         b"rec".to_vec(),
     ]
+}
+
+/// Every load lane `CheckpointedIndex::open` offers: buffered eager,
+/// mapped eager, and the mapped instant restart.
+fn open_modes() -> [(&'static str, OpenOptions); 3] {
+    [
+        ("default", OpenOptions::new()),
+        ("mmap", OpenOptions::new().mmap(true)),
+        ("mmap+instant", OpenOptions::new().mmap(true).instant(true)),
+    ]
+}
+
+/// The instant-restart open: mapped, validation deferred.
+fn instant_open(base: &Path) -> CheckpointedIndex {
+    CheckpointedIndex::open(base, OpenOptions::new().mmap(true).instant(true)).unwrap()
 }
 
 /// Asserts two queryables answer identically over the probe set at
@@ -153,25 +167,16 @@ fn checkpoint_chain_roundtrips_across_restarts() {
     assert_eq!(find_chain(&base).len(), 2);
 
     // Restart: every open mode recovers base + chain exactly.
-    for (name, options) in [
-        ("default", OpenOptions::new()),
-        ("mmap", OpenOptions::new().mmap(true)),
-        ("rebuild", OpenOptions::new().rebuild(true)),
-        ("instant", OpenOptions::new().mmap(true).instant(true)),
-    ] {
+    for (name, options) in open_modes() {
+        let instant = options.instant;
         let store = CheckpointedIndex::open(&base, options).unwrap();
-        if name == "instant" {
+        if instant {
             assert_eq!(store.wait_for_verification(), VerifyState::Ok);
         } else {
             assert_eq!(store.verification(), VerifyState::Ok);
         }
         assert_equivalent(&store, &twin, name);
     }
-
-    // And the unwrapped recovery path agrees too.
-    let (plain, replayed) = load_chain(&base).unwrap();
-    assert_eq!(replayed, 2);
-    assert_equivalent(&plain, &twin, "load_chain");
 }
 
 #[test]
@@ -244,21 +249,21 @@ fn open_modes_agree_with_the_plain_loader() {
     twin.save(&base).unwrap();
 
     let plain = OnlineIndex::load(&base).unwrap();
-    let mapped = open_mapped(&base).unwrap();
-    let instant = open_instant(&base).unwrap();
-    assert_equivalent(&mapped, &plain, "open_mapped");
-    assert_equivalent(&instant, &plain, "open_instant");
-
-    // Batched queries agree too (the engine path, not just `matches`).
     let reqs: Vec<SearchRequest> = probe_queries()
         .into_iter()
         .map(|q| SearchRequest::new(q, 2))
         .collect();
-    let a = plain.search_batch(&reqs);
-    let b = mapped.search_batch(&reqs);
-    for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
-        assert_eq!(x.matches, y.matches);
-        assert_eq!(x.count, y.count);
+    let expected = plain.search_batch(&reqs);
+    for (name, options) in open_modes() {
+        let store = CheckpointedIndex::open(&base, options).unwrap();
+        assert_equivalent(&store, &plain, name);
+
+        // Batched queries agree too (the engine path, not just `matches`).
+        let got = store.search_batch(&reqs);
+        for (x, y) in expected.outcomes.iter().zip(got.outcomes.iter()) {
+            assert_eq!(x.matches, y.matches, "{name}");
+            assert_eq!(x.count, y.count, "{name}");
+        }
     }
 }
 
@@ -271,20 +276,20 @@ fn instant_open_stays_mutable_and_materializes() {
 
     // The instant open serves strings lazily off the mapped span table;
     // parity must hold before any materialization…
-    let mut instant = open_instant(&base).unwrap();
+    let instant = instant_open(&base);
     assert_equivalent(&instant, &twin, "pristine instant open");
 
     // …and the first mutation (which materializes the table and rebuilds
     // the accounting from the spans actually decoded) must keep it in
     // lockstep with the eagerly built twin, including tombstone counts.
     apply_to_twin(&mut twin, ROUND_ONE);
-    apply_to_twin(&mut instant, ROUND_ONE);
+    apply_to_store(&instant, ROUND_ONE);
     assert_equivalent(&instant, &twin, "after materializing mutations");
     assert_eq!(instant.stats().tombstones, twin.stats().tombstones);
 
     // A save of the materialized state round-trips like any other.
     let resaved = scratch.path("resaved.snap");
-    instant.save(&resaved).unwrap();
+    instant.save_full(&resaved).unwrap();
     let reloaded = OnlineIndex::load(&resaved).unwrap();
     assert_equivalent(&reloaded, &twin, "resaved after materialization");
 }
@@ -313,7 +318,7 @@ fn hostile_spans_read_as_tombstones_on_the_lazy_path() {
     // Deferred validation must stay memory-safe: the hostile span reads
     // as a tombstone, so queries (whose postings still reference id 7)
     // skip it instead of slicing out of bounds.
-    let mut instant = open_instant(&base).unwrap();
+    let instant = instant_open(&base);
     for q in probe_queries() {
         let _ = instant.matches(&q, 2);
     }

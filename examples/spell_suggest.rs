@@ -1,4 +1,4 @@
-//! Spell suggestion with a prebuilt similarity-search index — the
+//! Spell suggestion with an online similarity-search index — the
 //! "approximate string searching" companion problem from the paper's
 //! related work, served by the same partition machinery.
 //!
@@ -9,8 +9,7 @@
 //! cargo run --release --example spell_suggest
 //! ```
 
-use passjoin::SearchIndex;
-use sj_common::StringCollection;
+use passjoin_online::{OnlineIndex, Queryable};
 
 fn main() {
     let dictionary: Vec<&str> = vec![
@@ -35,17 +34,14 @@ fn main() {
         "index",
         "indices",
     ];
-    let dict = StringCollection::from_strs(&dictionary);
     let tau = 2;
-    let index = SearchIndex::build(&dict, tau);
+    let index = OnlineIndex::from_strings(&dictionary, tau);
     println!(
         "dictionary of {} words indexed ({} bytes) at tau={tau}\n",
         dictionary.len(),
-        index.index_bytes()
+        index.stats().resident_bytes
     );
 
-    let mut searcher = index.searcher();
-    let mut hits = Vec::new();
     for query in [
         "similarty",
         "partitoin",
@@ -54,12 +50,11 @@ fn main() {
         "alinement",
         "zzzzz",
     ] {
-        hits.clear();
-        searcher.query_into(query.as_bytes(), &mut hits);
-        hits.sort_by_key(|&(pos, d)| (d, pos));
+        let mut hits = index.matches(query.as_bytes(), tau);
+        hits.sort_by_key(|&(id, d)| (d, id));
         let suggestions: Vec<String> = hits
             .iter()
-            .map(|&(pos, d)| format!("{} (d={d})", dictionary[pos as usize]))
+            .map(|&(id, d)| format!("{} (d={d})", dictionary[id as usize]))
             .collect();
         println!(
             "{query:<14} -> {}",

@@ -1,9 +1,10 @@
 //! Integration tests for the beyond-the-paper features: the parallel
-//! driver, the top-k join, and the similarity-search index — each checked
+//! driver, the top-k join, and online similarity search — each checked
 //! against an independent oracle on realistic corpora.
 
 use datagen::{DatasetKind, DatasetSpec};
-use passjoin::{PassJoin, SearchIndex};
+use passjoin::PassJoin;
+use passjoin_online::{OnlineIndex, Queryable};
 use sj_common::{SimilarityJoin, StringCollection};
 
 #[test]
@@ -61,21 +62,19 @@ fn search_index_agrees_with_rs_join() {
     let probe_strings = DatasetSpec::new(DatasetKind::Author, 100)
         .with_seed(99)
         .generate();
-    let dict = StringCollection::new(dict_strings);
+    let dict = StringCollection::new(dict_strings.clone());
     let probes = StringCollection::new(probe_strings.clone());
     let tau = 2;
 
     let mut expected: Vec<(u32, u32)> = PassJoin::new().rs_join(&probes, &dict, tau).pairs;
     expected.sort_unstable();
 
-    let index = SearchIndex::build(&dict, tau);
-    let mut searcher = index.searcher();
+    // Ids are assigned in insertion order, so they equal dictionary
+    // positions.
+    let index = OnlineIndex::from_strings(dict_strings.iter(), tau);
     let mut got: Vec<(u32, u32)> = Vec::new();
-    let mut hits = Vec::new();
     for (qi, q) in probe_strings.iter().enumerate() {
-        hits.clear();
-        searcher.query_into(q, &mut hits);
-        for &(dict_pos, _) in &hits {
+        for (dict_pos, _) in index.matches(q, tau) {
             got.push((qi as u32, dict_pos));
         }
     }
@@ -86,15 +85,14 @@ fn search_index_agrees_with_rs_join() {
 #[test]
 fn search_index_exact_distances_on_sample() {
     let dict_strings = DatasetSpec::new(DatasetKind::QueryLog, 300).generate();
-    let dict = StringCollection::new(dict_strings.clone());
-    let index = SearchIndex::build(&dict, 4);
+    let index = OnlineIndex::from_strings(dict_strings.iter(), 4);
     // Query with mutated copies of dictionary entries.
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(5);
     for s in dict_strings.iter().take(40) {
         let q = datagen::mutate(s, 2, &mut rng);
-        for (pos, d) in index.query(&q) {
+        for (pos, d) in index.matches(&q, 4) {
             assert_eq!(
                 d,
                 editdist::edit_distance(&dict_strings[pos as usize], &q),
