@@ -692,6 +692,9 @@ impl<T> PullSender<T> {
 
 impl<T> Drop for PullSender<T> {
     fn drop(&mut self) {
+        // Flag under the lock: a receiver between its `closed` check and
+        // its wait would otherwise miss the wake-up and block forever.
+        let _queue = self.shared.queue.lock();
         self.shared.closed.store(true, Ordering::Release);
         // Wake a receiver blocked on an empty queue so it can end.
         self.shared.not_empty.notify_all();
@@ -729,6 +732,9 @@ impl<T> Iterator for PullReceiver<T> {
 
 impl<T> Drop for PullReceiver<T> {
     fn drop(&mut self) {
+        // Flag under the lock, as in `PullSender::drop`, so no sender
+        // can miss the wake-up.
+        let _queue = self.shared.queue.lock();
         self.shared.hung_up.store(true, Ordering::Release);
         // Wake senders blocked on a full queue so they can fail fast.
         self.shared.not_full.notify_all();

@@ -13,12 +13,18 @@
 //! A query probes only its **prefix** — the first `sx − α + 1` tokens,
 //! where `α` is the metric's required-overlap bound — and screens each
 //! posting entry with length-interval pruning and the positional prefix
-//! condition `j_x + α(sx, sy) ≤ sx ∧ j_y + α(sx, sy) ≤ sy` before an
-//! exact merge verification. This is the PPJoin/All-Pairs family of
-//! filters (see [`crate::metric`]) on the engine's existing
-//! probe-verify-sink skeleton: verification pushes into a
-//! [`MatchSink`], so top-k steering, saturation, and [`ExecBudget`]
-//! caps all work unchanged.
+//! condition `j_x + α(sx, sy) ≤ sx ∧ j_y + α(sx, sy) ≤ sy` before a
+//! merge verification. The merge exits early: it gives up as soon as
+//! the overlap found so far plus the tokens left on the shorter side
+//! falls below α at the requested threshold, so a hopeless candidate
+//! costs a handful of mismatches, not two full walks. An accepted pair
+//! has overlap ≥ α and always finishes the merge, so its overlap — and
+//! hence its scaled distance — is exact. Every posting is kept (not
+//! just a fixed-threshold prefix), so one index serves any threshold.
+//! This is the PPJoin/All-Pairs family of filters (see
+//! [`crate::metric`]) on the engine's existing probe-verify-sink
+//! skeleton: verification pushes into a [`MatchSink`], so top-k
+//! steering, saturation, and [`ExecBudget`] caps all work unchanged.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -504,7 +510,12 @@ impl SetSimilarityIndex {
                     break 'scan; // budget tripped: this verification is skipped
                 }
                 stats.verifications += 1;
-                let o = self.merge_overlap(qtokens, ytokens);
+                // α at the *requested* threshold: every pair `accepts`
+                // takes has overlap ≥ α, so it gets its exact overlap.
+                let need = metric.min_overlap(threshold, sx, sy);
+                let Some(o) = self.merge_overlap(qtokens, ytokens, need) else {
+                    continue;
+                };
                 if metric.accepts(threshold, o, sx, sy) {
                     let dist = metric.scaled_distance(o, sx, sy);
                     sink.push(y, dist);
@@ -520,11 +531,24 @@ impl SetSimilarityIndex {
     }
 
     /// Exact `|x ∩ y|` by linear merge over the shared `(key, raw)`
-    /// order. Unknown query tokens carry the sentinel raw id and can
-    /// never equal an indexed token.
-    fn merge_overlap(&self, qtokens: &[(i64, u32)], ytokens: &[SegId]) -> usize {
+    /// order, or `None` as soon as `o + min(sx − i, sy − j) < need` —
+    /// the overlap so far plus the tokens left on the shorter side can
+    /// no longer reach `need`. That bound only drops on a mismatch, so
+    /// it is checked there; the result is `Some` exactly when
+    /// `|x ∩ y| ≥ need`. Unknown query tokens carry the sentinel raw id
+    /// and can never equal an indexed token.
+    fn merge_overlap(
+        &self,
+        qtokens: &[(i64, u32)],
+        ytokens: &[SegId],
+        need: usize,
+    ) -> Option<usize> {
+        let (sx, sy) = (qtokens.len(), ytokens.len());
+        if sx.min(sy) < need {
+            return None;
+        }
         let (mut i, mut j, mut o) = (0, 0, 0);
-        while i < qtokens.len() && j < ytokens.len() {
+        while i < sx && j < sy {
             let a = qtokens[i];
             let yraw = ytokens[j].raw();
             let b = (self.key_of[yraw as usize], yraw);
@@ -535,10 +559,14 @@ impl SetSimilarityIndex {
                     o += 1;
                     i += 1;
                     j += 1;
+                    continue;
                 }
             }
+            if o + (sx - i).min(sy - j) < need {
+                return None;
+            }
         }
-        o
+        Some(o)
     }
 
     fn record_index_gauges(&self) {
@@ -556,5 +584,58 @@ impl std::fmt::Debug for SetSimilarityIndex {
             .field("tokens", &self.dict.len())
             .field("posting_entries", &self.posting_entries)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metric::sorted_overlap;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Random word records over a small vocabulary, so overlaps of every
+    /// size occur.
+    fn records(n: usize, seed: u64) -> Vec<Vec<u8>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let words = rng.gen_range(0..=12usize);
+                let picked: Vec<String> = (0..words)
+                    .map(|_| format!("w{}", rng.gen_range(0..16u32)))
+                    .collect();
+                picked.join(" ").into_bytes()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_overlap_is_exact_or_proves_the_overlap_short() {
+        let recs = records(60, 17);
+        // Both an insert-ordered and a rarest-first index, plus one
+        // query word no record holds (an unknown token).
+        let mut grown = SetSimilarityIndex::new(TokenMode::Words);
+        for r in &recs {
+            grown.insert(r);
+        }
+        let built = SetSimilarityIndex::build_from(TokenMode::Words, &recs);
+        for index in [&grown, &built] {
+            for qtext in &recs {
+                let mut qtext = qtext.clone();
+                qtext.extend_from_slice(b" unseen");
+                let qtokens = index.query_tokens(&qtext);
+                let qset = TokenMode::Words.token_set(&qtext);
+                for (y, ytext) in recs.iter().enumerate() {
+                    let ytokens = index.records[y].as_deref().unwrap();
+                    let truth = sorted_overlap(&qset, &TokenMode::Words.token_set(ytext));
+                    for need in 0..=qtokens.len().min(ytokens.len()) + 1 {
+                        match index.merge_overlap(&qtokens, ytokens, need) {
+                            Some(o) => assert_eq!(o, truth, "need={need}"),
+                            None => assert!(truth < need, "None at need={need}, overlap {truth}"),
+                        }
+                    }
+                }
+            }
+        }
     }
 }

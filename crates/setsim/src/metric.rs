@@ -220,9 +220,18 @@ mod tests {
 
     #[test]
     fn min_overlap_is_a_valid_lower_bound() {
+        // Verification stops once α is out of reach, so α must hold at
+        // real set sizes too (3-gram records run to hundreds of tokens):
+        // every size up to 15, plus a spread up to 4 096 that includes
+        // powers of two and their neighbours.
+        let mut sizes: Vec<usize> = (1..=15).collect();
+        sizes.extend((16..=4096).step_by(157));
+        for p in [64, 256, 1024, 4096] {
+            sizes.extend([p - 1, p, p + 1].into_iter().filter(|&s| s <= 4096));
+        }
         for metric in [SetMetric::Jaccard, SetMetric::Cosine, SetMetric::Overlap] {
-            for sx in 1..=15usize {
-                for sy in 1..=15usize {
+            for &sx in &sizes {
+                for &sy in &sizes {
                     for t in [0.3, 0.5, 0.8, 0.9, 1.0] {
                         let alpha = metric.min_overlap(t, sx, sy);
                         // No accepted overlap may fall below alpha.

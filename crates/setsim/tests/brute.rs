@@ -293,3 +293,87 @@ fn observability_reconciles_with_summed_stats() {
     );
     assert_eq!(value("passjoin_setsim_index_records"), records.len() as u64);
 }
+
+/// A query of `sx` distinct words and records whose overlap with it is
+/// exactly α and exactly α − 1, where α = `min_overlap(t, sx, sy)`, over
+/// a spread of record sizes `sy` and with the shared words taken from
+/// the front, the back, or spread through the query.
+fn boundary_corpus(metric: SetMetric, t: f64, sx: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
+    let query = (0..sx)
+        .map(|i| format!("q{i}"))
+        .collect::<Vec<_>>()
+        .join(" ");
+    let mut records = Vec::new();
+    for sy in [sx / 2, sx * 4 / 5, sx - 1, sx, sx + 1, sx * 5 / 4, sx * 2] {
+        let alpha = metric.min_overlap(t, sx, sy);
+        for o in [alpha, alpha - 1] {
+            if o == 0 || o > sx.min(sy) {
+                continue;
+            }
+            for placement in 0..3 {
+                let shared: Vec<usize> = match placement {
+                    0 => (0..o).collect(),
+                    1 => (sx - o..sx).collect(),
+                    _ => (0..o).map(|i| i * sx / o).collect(),
+                };
+                let id = records.len();
+                let words: Vec<String> = shared
+                    .iter()
+                    .map(|i| format!("q{i}"))
+                    .chain((0..sy - o).map(|m| format!("r{id}x{m}")))
+                    .collect();
+                records.push(words.join(" ").into_bytes());
+            }
+        }
+    }
+    (query.into_bytes(), records)
+}
+
+#[test]
+fn overlap_exactly_at_and_below_alpha_matches_brute_force() {
+    use passjoin::sink::CollectSink;
+
+    let mode = TokenMode::Words;
+    for metric in METRICS {
+        for t in [0.5, 0.8, 0.9, 1.0] {
+            for sx in [40, 200] {
+                let (query, records) = boundary_corpus(metric, t, sx);
+                let expected = brute_matches(&records, mode, &query, metric, t);
+                // The corpus must straddle the boundary: some records
+                // match, some miss by a single token.
+                assert!(!expected.is_empty() && expected.len() < records.len());
+                let mut grown = SetSimilarityIndex::new(mode);
+                for r in &records {
+                    grown.insert(r);
+                }
+                let built = SetSimilarityIndex::build_from(mode, &records);
+                for index in [&grown, &built] {
+                    let ctx = format!("{metric:?} t={t} sx={sx}");
+                    let full = index.search(&SetQuery::new(&query, metric, t));
+                    assert_eq!(full.into_matches(), expected, "{ctx} full");
+                    let counted = index.search(&SetQuery::new(&query, metric, t).count_only());
+                    assert_eq!(counted.count, expected.len(), "{ctx} count-only");
+                    let mut streamed = Vec::new();
+                    let outcome = index.search_streaming(
+                        &SetQuery::new(&query, metric, t),
+                        &mut CollectSink::new(&mut streamed),
+                    );
+                    streamed.sort_unstable();
+                    assert_eq!(streamed, expected, "{ctx} streaming");
+                    assert_eq!(outcome.count, expected.len(), "{ctx} streaming count");
+                    let mut best: Vec<(usize, u32)> =
+                        expected.iter().map(|&(id, d)| (d, id)).collect();
+                    best.sort_unstable();
+                    for k in [1, 3, 10] {
+                        let want: Vec<(u32, usize)> =
+                            best.iter().take(k).map(|&(d, id)| (id, d)).collect();
+                        let got = index
+                            .search(&SetQuery::new(&query, metric, t).with_limit(k))
+                            .into_matches();
+                        assert_eq!(got, want, "{ctx} top-{k}");
+                    }
+                }
+            }
+        }
+    }
+}
