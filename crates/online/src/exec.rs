@@ -423,24 +423,8 @@ fn run_plan<S: MatchSink + ?Sized>(
     debug_assert_eq!(query.len(), plan.query_len);
     debug_assert_eq!(tau, plan.tau);
     scratch.begin(inner.universe(), query.len());
-    for &rid in &plan.short_ids {
-        if sink.saturated() {
-            return;
-        }
-        let bound = sink.bound(tau);
-        let r = inner.get(rid).expect("short lane holds live ids");
-        if query.len().abs_diff(r.len()) > bound {
-            continue; // plan filtered at τ; the sink may demand tighter
-        }
-        sink.note_verification();
-        if sink.saturated() {
-            return; // budget tripped: this check is skipped
-        }
-        stats.short_checked += 1;
-        if let Some(d) = scratch.exact_within(r, query, bound) {
-            stats.short_matches += 1;
-            sink.push(rid, d);
-        }
+    if !plan.short_ids.is_empty() {
+        screen_short(inner, plan, query, tau, scratch, sink, stats);
     }
     for (l, slot, seg, window) in &plan.probes {
         if sink.saturated() {
@@ -462,6 +446,42 @@ fn run_plan<S: MatchSink + ?Sized>(
             stats,
         );
     }
+}
+
+/// Brute-force checks the plan's short-lane ids, timed as one verify
+/// interval (see [`screen_list`]).
+fn screen_short<S: MatchSink + ?Sized>(
+    inner: &Inner,
+    plan: &LengthPlan,
+    query: &[u8],
+    tau: usize,
+    scratch: &mut QueryScratch,
+    sink: &mut S,
+    stats: &mut ExecStats,
+) {
+    let mut start = scratch.verify_start();
+    for &rid in &plan.short_ids {
+        if sink.saturated() {
+            break;
+        }
+        let bound = sink.bound(tau);
+        let r = inner.get(rid).expect("short lane holds live ids");
+        if query.len().abs_diff(r.len()) > bound {
+            continue; // plan filtered at τ; the sink may demand tighter
+        }
+        sink.note_verification();
+        if sink.saturated() {
+            break; // budget tripped: this check is skipped
+        }
+        stats.short_checked += 1;
+        if let Some(d) = scratch.exact_within(r, query, bound) {
+            stats.short_matches += 1;
+            scratch.verify_stop(start);
+            sink.push(rid, d);
+            start = scratch.verify_start();
+        }
+    }
+    scratch.verify_stop(start);
 }
 
 /// Probes one `(length, slot)` inverted index with the substrings of
@@ -529,6 +549,12 @@ fn probe_occurrences<S: MatchSink + ?Sized>(
 
 /// Screens one inverted list's candidates with the extension cascade
 /// (§5.2) and pushes accepted `(id, exact distance)` matches.
+///
+/// On an instrumented request the whole list is one verify interval,
+/// because a clock read costs more than the DP call it would time. The
+/// interval pauses around each `sink.push`, which is rare and may block
+/// under a backpressured streaming sink, so push time stays in the probe
+/// phase.
 #[allow(clippy::too_many_arguments)]
 fn screen_list<S: MatchSink + ?Sized>(
     inner: &Inner,
@@ -542,13 +568,14 @@ fn screen_list<S: MatchSink + ?Sized>(
     sink: &mut S,
     stats: &mut ExecStats,
 ) {
+    let mut start = scratch.verify_start();
     for &rid in list {
         if sink.saturated() {
-            return;
+            break;
         }
         sink.note_candidate();
         if sink.saturated() {
-            return; // budget tripped: this candidate is skipped
+            break; // budget tripped: this candidate is skipped
         }
         stats.candidates += 1;
         if scratch.resolved.contains(rid) {
@@ -570,7 +597,7 @@ fn screen_list<S: MatchSink + ?Sized>(
         }
         sink.note_verification();
         if sink.saturated() {
-            return; // budget tripped: this verification is skipped
+            break; // budget tripped: this verification is skipped
         }
         stats.verifications += 1;
         // Extension cascade (§5.2) under mixed budgets: the partition
@@ -595,8 +622,11 @@ fn screen_list<S: MatchSink + ?Sized>(
             .expect("extension certificate implies distance <= bound");
         scratch.resolved.insert(rid);
         stats.segment_matches += 1;
+        scratch.verify_stop(start);
         sink.push(rid, d);
+        start = scratch.verify_start();
     }
+    scratch.verify_stop(start);
 }
 
 /// Runs one query's plan under the view's per-request [`BudgetSink`];

@@ -467,27 +467,18 @@ impl SegMemo {
 /// Reusable per-thread scratch for queries (dedup stamps + DP rows + the
 /// interned backend's substring-resolution memo); the engine keeps one per
 /// batch worker so queries do not allocate.
-#[derive(Debug)]
 pub(crate) struct QueryScratch {
     pub(crate) resolved: StampSet,
     pub(crate) ws: DpWorkspace,
     pub(crate) seg_memo: SegMemo,
-    /// Installed per request by the instrumented engine path; accumulates
-    /// nanoseconds spent inside exact edit-distance verification. `None`
-    /// (observability detached) costs one predictable branch per DP call.
-    pub(crate) vtimer: Option<VerifyTimer>,
-}
-
-/// Accumulates verification time for one instrumented request.
-pub(crate) struct VerifyTimer {
-    clock: Arc<dyn passjoin_obs::Clock>,
-    ns: u64,
-}
-
-impl fmt::Debug for VerifyTimer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("VerifyTimer").field("ns", &self.ns).finish()
-    }
+    /// The request clock, installed by the instrumented engine path for
+    /// one request; `None` leaves screening untimed.
+    clock: Option<Arc<dyn passjoin_obs::Clock>>,
+    /// Nanoseconds the current request spent screening candidates: each
+    /// non-empty inverted list and the short-lane pass are timed as a
+    /// whole (extension checks, exact distance, per-candidate
+    /// bookkeeping), with the clock paused around every sink push.
+    verify_ns: u64,
 }
 
 impl Default for QueryScratch {
@@ -496,43 +487,54 @@ impl Default for QueryScratch {
             resolved: StampSet::new(0),
             ws: DpWorkspace::new(),
             seg_memo: SegMemo::default(),
-            vtimer: None,
+            clock: None,
+            verify_ns: 0,
         }
     }
 }
 
 impl QueryScratch {
     /// Prepares for one query of `query_len` bytes over an id universe of
-    /// the given size.
+    /// the given size. Zeroes the verify accumulator, so a request that
+    /// panicked mid-scan cannot leave its time to the next one.
     pub(crate) fn begin(&mut self, universe: usize, query_len: usize) {
         self.resolved.grow(universe);
         self.resolved.clear();
         self.seg_memo.begin(query_len);
+        self.verify_ns = 0;
     }
 
-    /// Exact thresholded edit distance using the scratch DP rows. When a
-    /// verify timer is installed (instrumented path), the DP time is
-    /// accumulated into it.
+    /// Exact thresholded edit distance using the scratch DP rows.
+    #[inline]
     pub(crate) fn exact_within(&mut self, r: &[u8], s: &[u8], tau: usize) -> Option<usize> {
-        match &mut self.vtimer {
-            Some(timer) => {
-                let start = timer.clock.now_nanos();
-                let out = length_aware_within_ws(r, s, tau, &mut self.ws);
-                timer.ns += timer.clock.now_nanos().saturating_sub(start);
-                out
-            }
-            None => length_aware_within_ws(r, s, tau, &mut self.ws),
-        }
+        length_aware_within_ws(r, s, tau, &mut self.ws)
     }
 
-    /// Starts accumulating verification time for one request.
+    /// Starts timing verification for one instrumented request.
     pub(crate) fn start_verify_timer(&mut self, clock: Arc<dyn passjoin_obs::Clock>) {
-        self.vtimer = Some(VerifyTimer { clock, ns: 0 });
+        self.clock = Some(clock);
     }
 
     /// Stops the verify timer and returns the accumulated nanoseconds.
     pub(crate) fn take_verify_ns(&mut self) -> u64 {
-        self.vtimer.take().map_or(0, |timer| timer.ns)
+        self.clock = None;
+        std::mem::take(&mut self.verify_ns)
+    }
+
+    /// Opens a verify interval: the request clock's reading, or `None`
+    /// when the request is untimed.
+    #[inline]
+    pub(crate) fn verify_start(&self) -> Option<u64> {
+        self.clock.as_ref().map(|clock| clock.now_nanos())
+    }
+
+    /// Closes the interval `verify_start` opened, adding it to the verify
+    /// phase.
+    #[inline]
+    pub(crate) fn verify_stop(&mut self, start: Option<u64>) {
+        if let (Some(start), Some(clock)) = (start, &self.clock) {
+            self.verify_ns += clock.now_nanos().saturating_sub(start);
+        }
     }
 }
 

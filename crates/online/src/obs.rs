@@ -28,8 +28,8 @@
 //! | `passjoin_cache_evictions_total` | counter | LRU evictions (≡ `CacheStats::evictions`) |
 //! | `passjoin_cache_invalidations_total` | counter | wholesale epoch invalidations (≡ `CacheStats::invalidations`) |
 //! | `passjoin_phase_plan_ns` | histogram | per-request planning time (length-plan build/reuse) |
-//! | `passjoin_phase_probe_ns` | histogram | per-request probing/assembly time (total − plan − verify − cache) |
-//! | `passjoin_phase_verify_ns` | histogram | per-request time inside exact edit-distance verification |
+//! | `passjoin_phase_probe_ns` | histogram | per-request probing/assembly time, sink pushes included (total − plan − verify − cache) |
+//! | `passjoin_phase_verify_ns` | histogram | per-request time screening candidate lists and the short lane: extension checks, exact distance, per-candidate bookkeeping (timed once per list; sink pushes excluded) |
 //! | `passjoin_phase_cache_ns` | histogram | per-request time holding/waiting on the cache lock |
 //! | `passjoin_request_ns` | histogram | per-request wall time (= the sum of the four phases) |
 //! | `passjoin_index_live_strings` | gauge | live strings at the last [`EngineObs::record_index_stats`] |

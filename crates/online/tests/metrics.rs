@@ -23,19 +23,25 @@
 //! 5. **Phase attribution is exhaustive** — plan + probe + verify +
 //!    cache nanoseconds sum to the request total, by construction, on a
 //!    match-heavy workload (the ≥ 95 % acceptance bar is met with
-//!    equality).
+//!    equality), and time spent inside a streaming sink's `push` is
+//!    probe time, never verify time, on the streaming and budgeted
+//!    shapes.
 //! 6. **Persistence metrics round-trip** — a save's section byte
 //!    counters equal the load's, the snapshot trace events fire, and a
 //!    `load_with` index comes back instrumented.
+//! 7. **Timing is per list, not per verification** — a query that
+//!    verifies hundreds of candidates from one inverted list reads the
+//!    clock a small constant number of times on every request shape.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use passjoin_online::{
-    CachePolicy, CollectSink, CollectingTraceSink, Completion, EngineObs, ExecBudget, ExecStats,
-    KeyBackend, ManualTicks, MatchSink, OnlineIndex, Parallelism, Queryable, SearchRequest,
-    SearchResponse, TickSource, TraceEvent, TruncationReason, WallClockTicks,
+    CachePolicy, Clock, CollectSink, CollectingTraceSink, Completion, EngineObs, ExecBudget,
+    ExecStats, KeyBackend, ManualNanos, ManualTicks, MatchSink, OnlineIndex, Parallelism,
+    Queryable, SearchRequest, SearchResponse, TickSource, TraceEvent, TruncationReason,
+    WallClockTicks,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -440,6 +446,175 @@ fn phase_attribution_is_exhaustive() {
         attributed, request_ns,
         "plan + probe + verify + cache must sum to the request total"
     );
+}
+
+/// Simulated cost of one streaming push, in clock nanoseconds.
+const PUSH_NS: u64 = 1_000;
+
+/// A streaming sink whose every push advances the request clock, as a
+/// slow or backpressured consumer would.
+struct SlowSink(Arc<ManualNanos>);
+
+impl MatchSink for SlowSink {
+    fn push(&mut self, _id: u32, _dist: usize) {
+        self.0.advance(PUSH_NS);
+    }
+}
+
+/// Contract 5, streaming and budgeted shapes: with a clock that only
+/// moves inside `push`, every pushed nanosecond lands in the probe phase,
+/// none in verify, and the phases still sum to the request total.
+#[test]
+fn push_time_is_probe_time_on_streaming_and_budgeted_shapes() {
+    let strings: Vec<Vec<u8>> = (0..200)
+        .map(|i| format!("match heavy string {:02}", i % 10).into_bytes())
+        .collect();
+    let queries: Vec<&[u8]> = strings.iter().step_by(20).map(Vec::as_slice).collect();
+    let budgets = [
+        ExecBudget::new(),
+        ExecBudget::new().with_max_verifications(1_000_000),
+        ExecBudget::new().with_max_verifications(7), // truncates mid-list
+    ];
+    for backend in [KeyBackend::Owned, KeyBackend::Interned] {
+        let clock = Arc::new(ManualNanos::new());
+        let obs = Arc::new(EngineObs::new().with_clock(Arc::clone(&clock) as Arc<dyn Clock>));
+        let index = build(&strings, 2, backend, 0, &obs);
+
+        let mut emitted = 0usize;
+        for budget in &budgets {
+            let reqs: Vec<SearchRequest> = queries
+                .iter()
+                .map(|q| SearchRequest::borrowed(q, 2).with_budget(budget.clone()))
+                .collect();
+            for req in &reqs {
+                let mut sink = SlowSink(Arc::clone(&clock));
+                emitted += index.search_streaming(req, &mut sink).count;
+            }
+            let mut sinks: Vec<SlowSink> =
+                reqs.iter().map(|_| SlowSink(Arc::clone(&clock))).collect();
+            let mut slots: Vec<&mut (dyn MatchSink + Send)> = sinks
+                .iter_mut()
+                .map(|s| s as &mut (dyn MatchSink + Send))
+                .collect();
+            let response = index.search_batch_streaming(&reqs, &mut slots);
+            emitted += response.outcomes.iter().map(|o| o.count).sum::<usize>();
+        }
+        assert!(emitted > 0, "the workload must push matches");
+
+        let pushed_ns = emitted as u64 * PUSH_NS;
+        assert_eq!(clock.now_nanos(), pushed_ns, "only pushes move the clock");
+        assert_eq!(hsum(&obs, "passjoin_phase_verify_ns"), 0, "{backend:?}");
+        assert_eq!(hsum(&obs, "passjoin_phase_probe_ns"), pushed_ns);
+        let attributed = hsum(&obs, "passjoin_phase_plan_ns")
+            + hsum(&obs, "passjoin_phase_probe_ns")
+            + hsum(&obs, "passjoin_phase_verify_ns")
+            + hsum(&obs, "passjoin_phase_cache_ns");
+        assert_eq!(attributed, hsum(&obs, "passjoin_request_ns"));
+        assert!(
+            counter(&obs, "passjoin_truncated_verification_cap_total") > 0,
+            "the tight budget must truncate"
+        );
+    }
+}
+
+/// A clock that counts its reads (and ticks once per read).
+#[derive(Default)]
+struct CountingClock(AtomicU64);
+
+impl CountingClock {
+    fn reads(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+impl Clock for CountingClock {
+    fn now_nanos(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed)
+    }
+}
+
+/// Contract 7: verification is timed once per screened list. One
+/// inverted list holds 240 strings sharing their first segment; the
+/// query verifies all of them (and matches one), yet each request reads
+/// the clock a small constant number of times on every shape, where
+/// timing each DP call would read it hundreds of times.
+#[test]
+fn clock_reads_are_bounded_by_lists_not_verifications() {
+    const MAX_READS: u64 = 16;
+    // τ_max = 1 splits every 12-byte string into two 6-byte segments:
+    // "abcdef" is shared, the tails are distinct and never probed.
+    let mut strings: Vec<Vec<u8>> = (0..240u32)
+        .map(|i| {
+            let tail: String = format!("{i:06}")
+                .bytes()
+                .map(|d| char::from(b'g' + (d - b'0')))
+                .collect();
+            format!("abcdef{tail}").into_bytes()
+        })
+        .collect();
+    strings.push(b"abcdefzzzzzy".to_vec());
+    let query: &[u8] = b"abcdefzzzzzz";
+
+    for backend in [KeyBackend::Owned, KeyBackend::Interned] {
+        let clock = Arc::new(CountingClock::default());
+        let obs = Arc::new(EngineObs::new().with_clock(Arc::clone(&clock) as Arc<dyn Clock>));
+        let index = build(&strings, 1, backend, 0, &obs);
+        let budget = ExecBudget::new().with_max_verifications(1_000_000);
+
+        let check = |shape: &str, requests: u64, run: &mut dyn FnMut() -> Vec<ExecStats>| {
+            let before = clock.reads();
+            let stats = run();
+            let reads = clock.reads() - before;
+            assert_eq!(stats.len() as u64, requests);
+            for s in &stats {
+                assert!(
+                    s.verifications >= 240,
+                    "{shape}: the query must verify the whole list: {s:?}"
+                );
+                assert_eq!(s.segment_matches, 1, "{shape}");
+            }
+            assert!(
+                reads <= MAX_READS * requests,
+                "{shape} on {backend:?}: {reads} clock reads for {requests} request(s)"
+            );
+        };
+
+        check("plain", 1, &mut || {
+            vec![index.search(&SearchRequest::new(query, 1)).stats]
+        });
+        check("top-k budgeted", 1, &mut || {
+            let req = SearchRequest::new(query, 1)
+                .with_limit(5)
+                .with_budget(budget.clone());
+            vec![index.search(&req).stats]
+        });
+        check("streaming", 1, &mut || {
+            let mut out = Vec::new();
+            let mut sink = CollectSink::new(&mut out);
+            vec![
+                index
+                    .search_streaming(&SearchRequest::new(query, 1), &mut sink)
+                    .stats,
+            ]
+        });
+        check("batch", 3, &mut || {
+            let reqs = vec![SearchRequest::new(query, 1); 3];
+            index
+                .search_batch(&reqs)
+                .outcomes
+                .iter()
+                .map(|o| o.stats)
+                .collect()
+        });
+        check("batch streaming", 3, &mut || {
+            let reqs = vec![SearchRequest::new(query, 1); 3];
+            batch_stream_discard(&index, &reqs)
+                .outcomes
+                .iter()
+                .map(|o| o.stats)
+                .collect()
+        });
+    }
 }
 
 /// A unique temp path per call (tests run concurrently in one process).
