@@ -111,11 +111,11 @@ impl Selection {
 }
 
 /// The substring window for probing a **τ_max-partitioned index with a
-/// smaller per-query threshold** (the online-index case: one index built at
-/// `tau_index`, queries at any `tau_query ≤ tau_index`).
+/// per-query threshold** `tau_query ≤ tau_index` when *every* slot is
+/// probed.
 ///
 /// The paper's multi-match window ties the partition granularity and the
-/// edit budget to the same τ; here they differ, so the window is the
+/// edit budget to the same τ; here they may differ, so the window is the
 /// intersection of two independently complete bounds:
 ///
 /// * the multi-match pigeonhole of the **index geometry** (§4.2 with
@@ -131,6 +131,15 @@ impl Selection {
 /// both bounds, so the intersection is complete. For
 /// `tau_query == tau_index` it is at least as tight as
 /// [`Selection::MultiMatch`].
+///
+/// The online engine (`passjoin-online`) calls this only at
+/// `tau_query == tau_index`. Below that, it does not probe every slot:
+/// the pigeonhole holds for any `tau_query + 1` disjoint segments, so per
+/// length it sums the list lengths over each slot's
+/// [`Selection::Position`] window at `tau_query` and screens only the
+/// `tau_query + 1` slots with the smallest totals. The multi-match
+/// pigeonhole, and with it this window, only holds when every slot is
+/// probed.
 pub fn online_window(
     s_len: usize,
     l: usize,

@@ -7,9 +7,11 @@
 //! everything else lives here exactly once:
 //!
 //! * **Length plans** — a query's control skeleton (which `(length, slot)`
-//!   indices to visit, each slot's segment spec and selection window)
+//!   indices it may visit, each slot's segment spec and selection window)
 //!   depends only on `(query length, τ)`, so batches sort by that key and
-//!   rebuild the plan only when it changes ([`LengthPlan`]).
+//!   rebuild the plan only when it changes ([`LengthPlan`]). Below
+//!   `τ_max`, which `τ+1` slots of a length are screened depends on the
+//!   query's own list sizes and is chosen per query.
 //! * **Sinks** — verification reports matches into a
 //!   [`passjoin::sink::MatchSink`] chosen by the request shape: collect
 //!   (plain), bounded top-k heap (`limit`, tightening verification as it
@@ -34,17 +36,17 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use passjoin::online_window;
 use passjoin::partition::{PartitionScheme, SegmentSpec};
 use passjoin::sink::{
     BudgetPool, BudgetSink, CollectSink, CountSink, MatchSink, PoolBudgetSink, TopKSink,
     TruncationReason,
 };
+use passjoin::{online_window, Selection};
 use passjoin_obs::TraceEvent;
 use sj_common::StringId;
 
 use crate::cache::QueryCache;
-use crate::index::{Inner, KeyBackend, QueryScratch, SegmentStore};
+use crate::index::{Inner, KeyBackend, QueryScratch, SegMemo, SegmentStore};
 use crate::obs::{trace, EngineObs};
 use crate::request::{
     CacheOutcome, CachePolicy, Completion, ExecBudget, ExecStats, Parallelism, QueryOutcome,
@@ -339,13 +341,40 @@ impl<'a> ReqView<'a> {
     }
 }
 
-/// The per-`(query length, τ)` probing skeleton: every `(l, slot)` pair
-/// with a resident index, its segment spec, and the selection window.
+/// One `(l, slot)` inverted index a [`LengthPlan`] may probe: the
+/// segment, the window of query start positions to look up, and the caps
+/// the partition geometry puts on the extension budgets.
+struct Probe {
+    l: usize,
+    slot: usize,
+    seg: SegmentSpec,
+    /// Already clamped to valid substring starts.
+    window: std::ops::Range<usize>,
+    /// Multi-match caps on the left / right extension budgets (§4.2);
+    /// `usize::MAX` when the plan screens a subset of the slots.
+    cap_left: usize,
+    cap_right: usize,
+}
+
+/// The per-`(query length, τ)` probing skeleton: the probes of every
+/// candidate length with a resident index, grouped by length (ascending)
+/// and by slot within a length (ascending).
+///
+/// At `τ = τ_max` every slot is screened through
+/// [`passjoin::online_window`], the multi-match window of the index
+/// geometry. Below `τ_max` the pigeonhole needs only `τ+1` of the
+/// `τ_max+1` disjoint segments, so each slot carries its position-aware
+/// window at the query τ, and [`run_plan`] screens the `τ+1` whose
+/// inverted lists are shortest for the query at hand (see the index
+/// module docs). A slot whose window is empty cannot hold the preserved
+/// segment; below `τ_max` it costs nothing and is chosen first.
 pub(crate) struct LengthPlan {
     query_len: usize,
     tau: usize,
-    /// `(l, slot, segment, window)` — windows are already clamped.
-    probes: Vec<(usize, usize, SegmentSpec, std::ops::Range<usize>)>,
+    probes: Vec<Probe>,
+    /// Slots screened per length when fewer than all: `Some(τ+1)` below
+    /// `τ_max`, `None` at `τ = τ_max`.
+    pick: Option<usize>,
     /// Short-lane ids passing the τ length filter for this query length.
     short_ids: Vec<StringId>,
 }
@@ -357,6 +386,7 @@ impl LengthPlan {
             tau <= tau_max,
             "query τ = {tau} exceeds the index's τ_max = {tau_max}"
         );
+        let pick = (tau < tau_max).then_some(tau + 1);
         let mut probes = Vec::new();
         let lmin = (tau_max + 1).max(query_len.saturating_sub(tau));
         let lmax = (query_len + tau).min(inner.segments().max_len());
@@ -366,10 +396,26 @@ impl LengthPlan {
             }
             for slot in 1..=tau_max + 1 {
                 let seg = PartitionScheme::Even.segment(l, tau_max, slot);
-                let window = online_window(query_len, l, seg, slot, tau_max, tau);
-                if !window.is_empty() {
-                    probes.push((l, slot, seg, window));
-                }
+                let (window, cap_left, cap_right) = match pick {
+                    Some(_) => (
+                        Selection::Position.window(query_len, l, seg, slot, tau),
+                        usize::MAX,
+                        usize::MAX,
+                    ),
+                    None => (
+                        online_window(query_len, l, seg, slot, tau_max, tau),
+                        slot - 1,
+                        tau_max + 1 - slot,
+                    ),
+                };
+                probes.push(Probe {
+                    l,
+                    slot,
+                    seg,
+                    window,
+                    cap_left,
+                    cap_right,
+                });
             }
         }
         let short_ids = inner
@@ -385,6 +431,7 @@ impl LengthPlan {
             query_len,
             tau,
             probes,
+            pick,
             short_ids,
         }
     }
@@ -405,12 +452,12 @@ impl PlanSlot {
     }
 }
 
-/// Runs one query's plan into a sink. The sink steers the scan: probes
-/// whose length falls outside its current bound are skipped, verification
-/// budgets tighten to the bound, and a saturated sink stops everything.
-/// Work is announced through the sink's note hooks *before* it runs, so
-/// a [`BudgetSink`] can cap it. For collecting sinks (bound = τ, never
-/// saturated, no-op hooks) this is the plain collect-everything scan.
+/// Runs one query's plan into a sink. The sink steers the scan: lengths
+/// outside its current bound are skipped, verification budgets tighten to
+/// the bound, and a saturated sink stops everything. Work is announced
+/// through the sink's note hooks *before* it runs, so a [`BudgetSink`] can
+/// cap it. For collecting sinks (bound = τ, never saturated, no-op hooks)
+/// this is the plain collect-everything scan.
 fn run_plan<S: MatchSink + ?Sized>(
     inner: &Inner,
     plan: &LengthPlan,
@@ -426,26 +473,57 @@ fn run_plan<S: MatchSink + ?Sized>(
     if !plan.short_ids.is_empty() {
         screen_short(inner, plan, query, tau, scratch, sink, stats);
     }
-    for (l, slot, seg, window) in &plan.probes {
+    for group in plan.probes.chunk_by(|a, b| a.l == b.l) {
         if sink.saturated() {
             return;
         }
-        if l.abs_diff(query.len()) > sink.bound(tau) {
+        if group[0].l.abs_diff(query.len()) > sink.bound(tau) {
             continue; // no match of this length can beat the sink's worst
         }
-        probe_occurrences(
-            inner,
-            query,
-            tau,
-            *l,
-            *slot,
-            *seg,
-            window.clone(),
-            scratch,
-            sink,
-            stats,
-        );
+        match plan.pick {
+            None => {
+                for probe in group {
+                    probe_occurrences(inner, query, tau, probe, scratch, sink, stats);
+                }
+            }
+            Some(pick) => {
+                choose_slots(inner, query, group, pick, scratch);
+                for i in 0..scratch.chosen.len() {
+                    let probe = &group[scratch.chosen[i].1];
+                    probe_occurrences(inner, query, tau, probe, scratch, sink, stats);
+                }
+            }
+        }
     }
+}
+
+/// Leaves in `scratch.chosen` the `pick` slots of one length whose
+/// windows hold the fewest postings for this query, in ascending slot
+/// order; ties go to the lower slot. These lookups are probe work only:
+/// they count no candidate and are charged to no budget.
+fn choose_slots(
+    inner: &Inner,
+    query: &[u8],
+    group: &[Probe],
+    pick: usize,
+    scratch: &mut QueryScratch,
+) {
+    let chosen = &mut scratch.chosen;
+    chosen.clear();
+    for (i, probe) in group.iter().enumerate() {
+        let total = probe
+            .window
+            .clone()
+            .filter_map(|p| list_at(inner, query, probe, p, &mut scratch.seg_memo))
+            .map(<[StringId]>::len)
+            .sum::<usize>();
+        chosen.push((total, i));
+    }
+    // Keys are distinct `(postings, slot index)` pairs: ties go to the
+    // lower slot.
+    chosen.sort_unstable();
+    chosen.truncate(pick);
+    chosen.sort_unstable_by_key(|&(_, i)| i);
 }
 
 /// Brute-force checks the plan's short-lane ids, timed as one verify
@@ -484,66 +562,52 @@ fn screen_short<S: MatchSink + ?Sized>(
     scratch.verify_stop(start);
 }
 
-/// Probes one `(length, slot)` inverted index with the substrings of
-/// `query` in `window`, screening candidates with the extension cascade
-/// and pushing `(id, exact distance)` matches into the sink.
+/// The inverted list of `probe`'s index under the query substring that
+/// starts at `p`, if any.
 ///
-/// The owned backend looks each substring up by bytes; the interned
+/// The owned backend looks the substring up by bytes; the interned
 /// backend resolves it to a dictionary id once per `(position, length)` —
-/// memoized in the scratch, because windows of adjacent lengths overlap —
-/// and every (repeated) probe after that is integer-keyed. The direct
-/// backend binary-searches each substring against the sorted run table in
-/// the snapshot buffer.
-#[allow(clippy::too_many_arguments)]
+/// memoized, because windows of adjacent lengths overlap and a slot
+/// choice looks a window up twice — and every repeat after that is
+/// integer-keyed. The direct backend binary-searches the substring
+/// against the sorted run table in the snapshot buffer.
+#[inline]
+fn list_at<'a>(
+    inner: &'a Inner,
+    query: &[u8],
+    probe: &Probe,
+    p: usize,
+    memo: &mut SegMemo,
+) -> Option<&'a [StringId]> {
+    let (l, slot, len) = (probe.l, probe.slot, probe.seg.len);
+    match inner.segments() {
+        SegmentStore::Owned(map) => map.probe(l, slot, &query[p..p + len]),
+        SegmentStore::Interned(index) => memo
+            .resolve(index, query, p, len)
+            .and_then(|key| index.probe_id(l, slot, key)),
+        SegmentStore::Direct { index, .. } => index.probe(l, slot, &query[p..p + len]),
+    }
+}
+
+/// Probes one `(length, slot)` inverted index with the substrings of
+/// `query` in the probe's window, screening each list it finds.
 fn probe_occurrences<S: MatchSink + ?Sized>(
     inner: &Inner,
     query: &[u8],
     tau: usize,
-    l: usize,
-    slot: usize,
-    seg: SegmentSpec,
-    window: std::ops::Range<usize>,
+    probe: &Probe,
     scratch: &mut QueryScratch,
     sink: &mut S,
     stats: &mut ExecStats,
 ) {
-    match inner.segments() {
-        SegmentStore::Owned(map) => {
-            for p in window {
-                if sink.saturated() {
-                    return;
-                }
-                let w = &query[p..p + seg.len];
-                let Some(list) = map.probe(l, slot, w) else {
-                    continue;
-                };
-                screen_list(inner, query, tau, slot, seg, p, list, scratch, sink, stats);
-            }
+    for p in probe.window.clone() {
+        if sink.saturated() {
+            return;
         }
-        SegmentStore::Interned(index) => {
-            for p in window {
-                if sink.saturated() {
-                    return;
-                }
-                let key = scratch.seg_memo.resolve(index, query, p, seg.len);
-                let Some(list) = key.and_then(|key| index.probe_id(l, slot, key)) else {
-                    continue;
-                };
-                screen_list(inner, query, tau, slot, seg, p, list, scratch, sink, stats);
-            }
-        }
-        SegmentStore::Direct { index, .. } => {
-            for p in window {
-                if sink.saturated() {
-                    return;
-                }
-                let w = &query[p..p + seg.len];
-                let Some(list) = index.probe(l, slot, w) else {
-                    continue;
-                };
-                screen_list(inner, query, tau, slot, seg, p, list, scratch, sink, stats);
-            }
-        }
+        let Some(list) = list_at(inner, query, probe, p, &mut scratch.seg_memo) else {
+            continue;
+        };
+        screen_list(inner, query, tau, probe, p, list, scratch, sink, stats);
     }
 }
 
@@ -560,14 +624,17 @@ fn screen_list<S: MatchSink + ?Sized>(
     inner: &Inner,
     query: &[u8],
     tau: usize,
-    slot: usize,
-    seg: SegmentSpec,
+    probe: &Probe,
     p: usize,
     list: &[StringId],
     scratch: &mut QueryScratch,
     sink: &mut S,
     stats: &mut ExecStats,
 ) {
+    let seg = probe.seg;
+    // |Δ − x| with Δ = |q| − l and x = p − seg.start: the length gap of
+    // the right parts, a lower bound on the right-side edits.
+    let right_gap = (query.len() + seg.start).abs_diff(probe.l + p);
     let mut start = scratch.verify_start();
     for &rid in list {
         if sink.saturated() {
@@ -600,16 +667,20 @@ fn screen_list<S: MatchSink + ?Sized>(
             break; // budget tripped: this verification is skipped
         }
         stats.verifications += 1;
-        // Extension cascade (§5.2) under mixed budgets: the partition
-        // geometry contributes i−1 / τ_max+1−i, the query budget
-        // contributes the sink bound — the pigeonhole witness satisfies
-        // both, so screening on their minimum never rejects a match the
-        // sink could still use (see the index module docs).
-        let tau_left = (slot - 1).min(bound);
+        // Extension cascade (§5.2) under mixed budgets: the witness
+        // alignment spends at most `bound − |Δ − x|` edits on the left and
+        // `bound − d_left` on the right, and the partition geometry caps
+        // them when every slot is probed — screening on the minima never
+        // rejects a match the sink could still use (see the index module
+        // docs).
+        let Some(left_room) = bound.checked_sub(right_gap) else {
+            continue; // the right parts alone need more than the bound
+        };
+        let tau_left = probe.cap_left.min(left_room);
         let Some(d_left) = scratch.exact_within(&r[..seg.start], &query[..p], tau_left) else {
             continue; // this occurrence fails; others may pass
         };
-        let tau_right = (inner.tau_max() + 1 - slot).min(bound - d_left);
+        let tau_right = probe.cap_right.min(bound - d_left);
         if scratch
             .exact_within(&r[seg.end()..], &query[p + seg.len..], tau_right)
             .is_none()

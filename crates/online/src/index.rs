@@ -18,12 +18,32 @@
 //! # Per-query thresholds
 //!
 //! The index is partitioned once for `τ_max`, but queries may use any
-//! `τ ≤ τ_max`: [`passjoin::online_window`] intersects the multi-match
-//! pigeonhole of the *index geometry* with the position bound of the
-//! *query budget*, which stays complete (see its docs for the argument).
+//! `τ ≤ τ_max`. The pigeonhole (Lemma 1) holds for *any* `τ+1` disjoint
+//! segments of an indexed string, so per candidate length `l`:
+//!
+//! * at `τ = τ_max` every slot is probed over [`passjoin::online_window`],
+//!   the multi-match window (§4.2);
+//! * below `τ_max` the engine sums, for every slot, the inverted-list
+//!   lengths over its position-aware window at the query τ
+//!   ([`passjoin::Selection::Position`], §4.1), and screens only the
+//!   `τ+1` slots with the smallest totals (ties to the lower slot, in
+//!   ascending slot order). The lookups of skipped slots are probe work:
+//!   no candidate, no budget charge.
+//!
 //! Candidates are screened with the extension cascade (§5.2) under mixed
-//! budgets — left `min(i−1, τ)`, right `min(τ_max+1−i, τ−d_left)` — and
-//! accepted matches are reported with their **exact** distance.
+//! budgets. For a list found at query position `p`, with
+//! `x = p − seg.start` and `Δ = |q| − l`, the left part gets
+//! `min(cap_left, bound − |Δ − x|)` and the right part
+//! `min(cap_right, bound − d_left)`, where `bound` is the sink's current
+//! threshold. The caps are `i − 1` / `τ_max + 1 − i` when every slot is
+//! probed and absent when a subset is, because they only hold when all
+//! slots are probed. Both bounds follow from one argument: take a
+//! preserved segment at its transcript-aligned shift `x`, with `e_L`
+//! edits before it and `e_R` after; then `|x| ≤ e_L`, `|Δ − x| ≤ e_R` and
+//! `e_L + e_R = ed ≤ bound`. That puts `x` in the position-aware window,
+//! the left distance at most `e_L ≤ bound − |Δ − x|`, and (as
+//! `d_left ≤ e_L`) the right distance at most `e_R ≤ bound − d_left`.
+//! Accepted matches are reported with their **exact** distance.
 //!
 //! # Concurrency
 //!
@@ -471,6 +491,9 @@ pub(crate) struct QueryScratch {
     pub(crate) resolved: StampSet,
     pub(crate) ws: DpWorkspace,
     pub(crate) seg_memo: SegMemo,
+    /// `(postings, slot index)` of the slots a below-`τ_max` query screens
+    /// at one length; rebuilt per length, reused across queries.
+    pub(crate) chosen: Vec<(usize, usize)>,
     /// The request clock, installed by the instrumented engine path for
     /// one request; `None` leaves screening untimed.
     clock: Option<Arc<dyn passjoin_obs::Clock>>,
@@ -487,6 +510,7 @@ impl Default for QueryScratch {
             resolved: StampSet::new(0),
             ws: DpWorkspace::new(),
             seg_memo: SegMemo::default(),
+            chosen: Vec::new(),
             clock: None,
             verify_ns: 0,
         }

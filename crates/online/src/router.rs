@@ -22,8 +22,12 @@
 //!   top-k element is necessarily in its shard's top-k, so the union of
 //!   shard heaps is a superset of the answer);
 //! * **count-only** — counts are summed, clamped by the request's cap;
-//! * [`ExecStats`] are summed, [`Completion`] is truncated if any shard
-//!   truncated, and a per-request [`ExecBudget`](crate::ExecBudget)'s caps are split across
+//! * [`ExecStats`] are summed. On length bands they equal the single
+//!   index's. Hash shards report the same match counts but may screen
+//!   fewer candidates: below τ_max each shard screens the slots with its
+//!   own shortest lists;
+//! * [`Completion`] is truncated if any shard truncated, and a
+//!   per-request [`ExecBudget`](crate::ExecBudget)'s caps are split across
 //!   the targeted shards (deadlines apply to each shard as-is) while a
 //!   batch-level [`BatchBudget`](crate::BatchBudget) pool is shared
 //!   atomically exactly as in the single-index engine.
